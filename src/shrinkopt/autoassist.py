@@ -34,6 +34,7 @@ from .linear_models import (
     sigmoid,
     svm_objective,
 )
+from .primal_sgd import pegasos_step
 
 STARVATION_FACTOR = 100
 
@@ -360,21 +361,8 @@ class PegasosBoss:
         return [hinge_loss(self.model, self.dataset.instances[i]) for i in indices]
 
     def update(self, indices) -> None:
-        m = self.model
-        w = m.w
-        k = self.version + 1
-        eta = 1.0 / (m.lam * k)
-        # Margins must be read before the shrink factor rescales w.
-        active = [inst for inst in (self.dataset.instances[i] for i in indices)
-                  if inst.label * float(w[inst.indices] @ inst.values) < 1.0]
-        w *= 1.0 - eta * m.lam
-        scale = eta / len(indices)
-        for inst in active:
-            w[inst.indices] += (scale * inst.label) * inst.values
-        radius = 1.0 / math.sqrt(m.lam)
-        nsq = float(w @ w)
-        if nsq > radius * radius:
-            w *= radius / math.sqrt(nsq)
+        pegasos_step(self.model, [self.dataset.instances[i] for i in indices],
+                     self.version + 1)
         self.version += 1
 
     def objective(self) -> float:

@@ -4,11 +4,11 @@ The on-disk format is libsvm text: one instance per line,
 
     <label> <index>:<value> <index>:<value> ...
 
-with whitespace separation, 1-based strictly increasing feature indices and
-``#`` starting a comment that runs to the end of the line.  Indices are
-shifted to 0-based in memory so dense weight vectors index naturally;
-serialization shifts back.  Files ending in ``.gz`` are transparently
-decompressed.
+with whitespace separation, a label of +1 or -1, 1-based strictly
+increasing feature indices and ``#`` starting a comment that runs to the
+end of the line.  Indices are shifted to 0-based in memory so dense weight
+vectors index naturally; serialization shifts back.  Files ending in
+``.gz`` are transparently decompressed.
 
 Synthetic generators produce (a) linearly separable SVM data with optional
 label noise and (b) finite sums of quadratics with known minimizer and
@@ -69,7 +69,8 @@ class SparseInstance:
 
 
 class Dataset:
-    """An in-memory list of instances plus cached column-count and CSR view.
+    """An in-memory list of +1/-1 labeled instances plus cached label,
+    squared-norm and CSR arrays.
 
     Immutable after construction; safe to share read-only across workers.
     """
@@ -87,7 +88,12 @@ class Dataset:
         self.n_features = int(n_features)
         self.name = name
         self._labels: np.ndarray | None = None
+        self._norms_sq: np.ndarray | None = None
         self._X: sp.csr_matrix | None = None
+        bad = np.flatnonzero(np.abs(self.labels) != 1.0)
+        if bad.size:
+            raise ValueError(f"instance {int(bad[0])}: label "
+                             f"{float(self.labels[bad[0]])!r} is not +1 or -1")
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -117,7 +123,9 @@ class Dataset:
 
     @property
     def norms_sq(self) -> np.ndarray:
-        return np.array([inst.norm_sq for inst in self.instances])
+        if self._norms_sq is None:
+            self._norms_sq = np.array([inst.norm_sq for inst in self.instances])
+        return self._norms_sq
 
 
 def _parse_line(line: str, lineno: int) -> SparseInstance | None:
@@ -129,8 +137,8 @@ def _parse_line(line: str, lineno: int) -> SparseInstance | None:
         label = float(parts[0])
     except ValueError:
         raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
-    if not np.isfinite(label):
-        raise ParseError(f"line {lineno}: non-finite label")
+    if label not in (1.0, -1.0):
+        raise ParseError(f"line {lineno}: label {parts[0]!r} is not +1 or -1")
     idxs: list[int] = []
     vals: list[float] = []
     prev = 0
@@ -160,7 +168,8 @@ def parse_libsvm(source: str | Iterable[str], name: str = "") -> Dataset:
     """Parse libsvm-format text into a Dataset, preserving line order.
 
     ``source`` is a string or an iterable of lines.  Raises ParseError with
-    the offending line number on malformed input and on empty input.
+    the offending line number on malformed input, including a label other
+    than +1 or -1, and on empty input.
     """
     lines = io.StringIO(source) if isinstance(source, str) else source
     instances: list[SparseInstance] = []

@@ -85,23 +85,6 @@ def projected_gradient(alpha_i: float, grad: float, C: float) -> float:
     return grad
 
 
-def dual_coordinate_update(state: DualState, dataset: Dataset, i: int) -> float:
-    """Exact 1-D minimization of coordinate i under the box; returns the
-    alpha change.  w is adjusted incrementally by (delta alpha) y_i x_i."""
-    qii = state.qdiag[i]
-    if qii <= 0.0:
-        raise ValueError(f"coordinate {i} has empty features (Q_ii = 0)")
-    grad = coordinate_gradient(state, dataset, i)
-    old = state.alpha[i]
-    new = min(max(old - grad / qii, 0.0), state.C)
-    delta = new - old
-    if delta != 0.0:
-        state.alpha[i] = new
-        inst = dataset.instances[i]
-        state.w[inst.indices] += (delta * inst.label) * inst.values
-    return delta
-
-
 def _shrink_candidate(alpha_i: float, grad: float, C: float, eps: float) -> bool:
     """True when the coordinate sits at a bound the gradient keeps pushing
     into: alpha = 0 with grad > eps, or alpha = C with grad < -eps."""
@@ -110,18 +93,6 @@ def _shrink_candidate(alpha_i: float, grad: float, C: float, eps: float) -> bool
     if alpha_i >= C:
         return grad < -eps
     return False
-
-
-def shrink_pass(state: DualState, dataset: Dataset, eps_shrink: float) -> int:
-    """One full pass marking shrinkable coordinates inactive; returns how
-    many were removed.  Never touches alpha or w."""
-    removed = 0
-    for i in np.flatnonzero(state.active):
-        grad = coordinate_gradient(state, dataset, int(i))
-        if _shrink_candidate(state.alpha[i], grad, state.C, eps_shrink):
-            state.active[i] = False
-            removed += 1
-    return removed
 
 
 def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,

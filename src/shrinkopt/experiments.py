@@ -42,14 +42,16 @@ from .autoassist import (
 from .dataio import Dataset, load_libsvm, synth_strongly_convex, synth_svm
 from .dual_cd import solve as dual_solve
 from .linear_models import svm_objective
-from .primal_sgd import IS, PLAIN, SK, SK_BS, BatchPolicy, epoch_eval_schedule, run_sgd
+from .primal_sgd import (IS, POLICY_KINDS, SK, SK_BS, THEOREM, BatchPolicy,
+                         epoch_eval_schedule, run_sgd)
 from .theorem_harness import TheoremRunConfig, run_certification
 
 WORKERS_ENV = "SHRINKOPT_WORKERS"
 
 CURVE_HEADER = "policy,seed,n_updates,n_evals,elapsed_s,objective"
 
-POLICY_LABELS = {PLAIN: "Plain", SK: "SK", SK_BS: "SK_BS", IS: "IS"}
+# The policies a run may race; the theorem gate belongs to the harness.
+RACE_POLICIES = tuple(k for k in POLICY_KINDS if k != THEOREM)
 
 
 class ConfigError(Exception):
@@ -377,10 +379,10 @@ def _run_svm_primal(cfg, out_dir: Path):
     if not names:
         raise ConfigError("key 'policies': at least one policy is required")
     for nm in names:
-        if nm not in POLICY_LABELS:
+        if nm not in RACE_POLICIES:
             raise ConfigError(
                 f"key 'policies': unknown policy {nm!r} "
-                f"(choose from {', '.join(POLICY_LABELS)})")
+                f"(choose from {', '.join(RACE_POLICIES)})")
     schedule = epoch_eval_schedule(n, n_epochs, get_int(cfg, "points_per_epoch", lo=1))
 
     # The dual solver pins the target objective all policies race toward.
@@ -404,18 +406,19 @@ def _run_svm_primal(cfg, out_dir: Path):
             if cfg.get("refresh_period", ""):
                 kw["refresh_period"] = get_int(cfg, "refresh_period", lo=1)
         pkwargs[nm] = kw
+    labels = {nm: BatchPolicy(**pkwargs[nm]).label() for nm in names}
 
-    tasks = [(dataset, lam, POLICY_LABELS[nm], pkwargs[nm], seed, n_epochs, schedule)
+    tasks = [(dataset, lam, labels[nm], pkwargs[nm], seed, n_epochs, schedule)
              for nm in names for seed in seeds]
     results = _map_tasks(_primal_worker, tasks)
-    by_label: dict[str, list] = {POLICY_LABELS[nm]: [] for nm in names}
+    by_label: dict[str, list] = {labels[nm]: [] for nm in names}
     for label, seed, curve in results:
         by_label[label].append((seed, curve))
 
     outputs = []
     policies_summary: dict[str, dict] = {}
     for nm in names:
-        label = POLICY_LABELS[nm]
+        label = labels[nm]
         rows = []
         upd_by_seed: dict[int, float | None] = {}
         time_by_seed: dict[int, float | None] = {}

@@ -1,10 +1,10 @@
 """Loss and gradient kernels shared by all solvers.
 
-Hinge loss and the L2-regularized SVM objective in its two equivalent
-parameterizations (penalty C on the loss sum, or strong-convexity modulus
-lambda on the mean loss, tied by C = 1/(lambda*N)), a clamped logistic
-scorer for the batch-filtering assistant, and finite sums of quadratics
-with certified convexity constants for the convergence harness.
+Hinge loss and the L2-regularized SVM objective with penalty C on the loss
+sum (models also carry the strong-convexity modulus lambda of the
+equivalent mean-loss form, tied by C = 1/(lambda*N)), the clamped sigmoid
+and cross-entropy of the batch-filtering assistant, and finite sums of
+quadratics with certified convexity constants for the convergence harness.
 
 All operations are pure given their inputs; models are value types.
 """
@@ -57,17 +57,6 @@ def hinge_loss(model: PrimalModel, inst: "SparseInstance") -> float:
     return max(1.0 - inst.label * _dot(model.w, inst), 0.0)
 
 
-def hinge_subgradient(model: PrimalModel, inst: "SparseInstance") -> tuple[np.ndarray, np.ndarray]:
-    """Loss-part subgradient as a sparse (indices, values) pair.
-
-    Returns -y*x when y*w.x < 1, an empty vector otherwise; at the kink the
-    zero branch is chosen.  The regularizer term is applied by the solver.
-    """
-    if inst.label * _dot(model.w, inst) < 1.0:
-        return inst.indices, -inst.label * inst.values
-    return inst.indices[:0], inst.values[:0]
-
-
 def svm_objective(model: PrimalModel, dataset: "Dataset") -> float:
     """Exact full objective 0.5*||w||^2 + C * sum_i hinge_i, vectorized."""
     margins = dataset.labels * (dataset.X @ model.w)
@@ -75,37 +64,14 @@ def svm_objective(model: PrimalModel, dataset: "Dataset") -> float:
     return 0.5 * float(model.w @ model.w) + model.C * float(hinge.sum())
 
 
-def mean_loss_objective(model: PrimalModel, dataset: "Dataset") -> float:
-    """Equivalent (lam/2)*||w||^2 + mean hinge form; equals lam * svm_objective
-    when C = 1/(lam*N)."""
-    margins = dataset.labels * (dataset.X @ model.w)
-    hinge = np.maximum(1.0 - margins, 0.0)
-    return 0.5 * model.lam * float(model.w @ model.w) + float(hinge.mean())
-
-
 def sigmoid(z: float | np.ndarray) -> float | np.ndarray:
     z = np.clip(z, -40.0, 40.0)
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def logistic_predict(phi: np.ndarray, inst: "SparseInstance", bias: float = 0.0) -> float:
-    """Probability in (SIGMOID_CLAMP, 1 - SIGMOID_CLAMP) that the instance is
-    nontrivial, from a sparse dot against dense weights plus bias."""
-    p = float(sigmoid(_dot(phi, inst) + bias))
-    return min(max(p, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
-
-
 def cross_entropy(p: float, z: int) -> float:
     p = min(max(p, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
     return -(z * np.log(p) + (1 - z) * np.log(1.0 - p))
-
-
-def logistic_gradient(phi: np.ndarray, inst: "SparseInstance", bias: float,
-                      z: int) -> tuple[np.ndarray, float]:
-    """Cross-entropy gradient wrt (phi, bias): ((p - z)*x on the support, p - z)."""
-    p = logistic_predict(phi, inst, bias)
-    err = p - float(z)
-    return err * inst.values, err
 
 
 @dataclass

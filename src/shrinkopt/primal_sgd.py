@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -118,23 +119,29 @@ class CurvePoint:
     objective: float
 
 
-def pegasos_step(model: PrimalModel, inst: SparseInstance, k: int,
+def pegasos_step(model: PrimalModel, insts: Sequence[SparseInstance], k: int,
                  ledger: CostLedger | None = None, loss_weight: float = 1.0) -> PrimalModel:
-    """One projected subgradient step at step index k >= 1, in place.
+    """One projected subgradient step on the mean loss of a batch, in place.
 
-    w <- (1 - eta*lam) w + eta * loss_weight * y x   (x term only if the
-    hinge is active), eta = 1/(lam*k), then projection onto the ball of
-    radius 1/sqrt(lam).  loss_weight carries the inverse-probability factor
-    for importance sampling; 1 otherwise.
+    w <- (1 - eta*lam) w + (eta * loss_weight / |batch|) * sum y x over the
+    batch members whose hinge is active at the pre-step w, eta = 1/(lam*k)
+    with k >= 1, then projection onto the ball of radius 1/sqrt(lam).
+    loss_weight carries the inverse-probability factor for importance
+    sampling; 1 otherwise.  Counts one update per call.
     """
     if k < 1:
         raise ValueError("step index k must be >= 1")
     w = model.w
     eta = 1.0 / (model.lam * k)
-    active = inst.label * float(w[inst.indices] @ inst.values) < 1.0
+    # Margins must be read before the shrink factor rescales w.
+    active = []
+    for inst in insts:
+        if inst.label * float(w[inst.indices] @ inst.values) < 1.0:
+            active.append(inst)
     w *= 1.0 - eta * model.lam
-    if active:
-        w[inst.indices] += (eta * loss_weight * inst.label) * inst.values
+    scale = eta * loss_weight / len(insts)
+    for inst in active:
+        w[inst.indices] += (scale * inst.label) * inst.values
     radius = 1.0 / math.sqrt(model.lam)
     nw_sq = float(w @ w)
     if nw_sq > radius * radius:
@@ -231,7 +238,7 @@ def is_step(model: PrimalModel, policy: BatchPolicy, dataset: Dataset, k: int,
     j = min(j, len(policy.chunk) - 1)
     i = int(policy.chunk[j])
     weight = 1.0 / (len(policy.chunk) * float(policy.probs[j]))
-    pegasos_step(model, dataset.instances[i], k, ledger, loss_weight=weight)
+    pegasos_step(model, (dataset.instances[i],), k, ledger, loss_weight=weight)
     policy.since_refresh += 1
     return i
 
@@ -310,7 +317,7 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
                 ledger.n_evals += 1
                 keep = True
             if keep:
-                pegasos_step(model, inst, ledger.n_updates + 1, ledger)
+                pegasos_step(model, (inst,), ledger.n_updates + 1, ledger)
             if next_snap < len(schedule) and arrival == schedule[next_snap]:
                 ledger.elapsed += time.perf_counter() - work_start
                 snapshot()

@@ -8,10 +8,11 @@ to the minimizer must stay below L/k with
 
     L = max(4 D^2, G^2/mu^2 + 4 D G / mu).
 
-The harness runs the gated and ungated chains on identical index streams,
-plus a loss-gated variant (drop when f_i(w) - f_i* is below the matching
-threshold), and reports averaged error curves, bound violations, the
-log-log slope over the last decade of steps, and per-decade skip rates.
+The harness runs two chains, gated and ungated, on identical index
+streams and reports averaged error curves, bound violations, the log-log
+slope over the last decade of steps, and per-decade skip rates.  A gate on
+the component loss instead, f_i(w) - f_i* <= G^2/(2 mu k^2), would be the
+same gate: for these quadratics f_i(w) - f_i* = ||grad f_i(w)||^2/(2 mu).
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linear_models import ComponentProblem
-
-RULES = ("plain", "grad", "loss")
 
 
 @dataclass
@@ -68,29 +67,6 @@ def uniform_ball(dim: int, radius: float, rng: np.random.Generator,
     return (x / norms * r).reshape(shape)
 
 
-def _step_core(w: np.ndarray, k: int, problem: ComponentProblem, i: int,
-               shrink: bool) -> tuple[np.ndarray, bool]:
-    g = problem.component_grad(i, w)
-    if shrink and float(np.linalg.norm(g)) <= problem.G / k:
-        return problem.project(w), True
-    eta = 1.0 / (problem.mu * k)
-    return problem.project(w - eta * g), False
-
-
-def theorem_step(w: np.ndarray, k: int, problem: ComponentProblem,
-                 rng: np.random.Generator, shrink: bool = True,
-                 ) -> tuple[np.ndarray, bool]:
-    """One gated projected-SGD step; returns (w_next, skipped).
-
-    The component index is uniform.  With shrink=False this is exactly
-    projected SGD on the same rng stream.
-    """
-    if k < 1:
-        raise ValueError("step index k must be >= 1")
-    i = int(rng.integers(problem.n))
-    return _step_core(w, k, problem, i, shrink)
-
-
 def _project_rows(W: np.ndarray, radius: float) -> np.ndarray:
     norms = np.linalg.norm(W, axis=1)
     over = norms > radius
@@ -100,17 +76,16 @@ def _project_rows(W: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _run_batch(problem: ComponentProblem, idx: np.ndarray, W0: np.ndarray,
-               rule: str, record_ks: np.ndarray,
+               shrink: bool, record_ks: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance all seeds in lock step under one gating rule.
+    """Advance all seeds in lock step: projected SGD with step 1/(mu*k),
+    where shrink drops every sampled gradient of norm at most G/k.
 
     idx is (n_seeds, n_steps) of component indices, W0 is (n_seeds, dim).
     Returns (errors, skips): errors is (n_points, n_seeds) squared distance
     to w* at each recorded k (pre-step iterate), skips is (n_steps,) total
     skipped seeds per step.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}")
     W = W0.copy()
     mu, G, D = problem.mu, problem.G, problem.D
     w_star = problem.w_star
@@ -123,15 +98,10 @@ def _run_batch(problem: ComponentProblem, idx: np.ndarray, W0: np.ndarray,
             diff = W - w_star
             errors[rec[k]] = np.einsum("sd,sd->s", diff, diff)
         g = mu * (W - problem.centers[idx[:, k - 1]])
-        if rule == "plain":
-            keep = np.ones(W.shape[0], dtype=bool)
-        elif rule == "grad":
+        if shrink:
             keep = np.einsum("sd,sd->s", g, g) > (G / k) ** 2
         else:
-            # loss gate: f_i(w) - f_i* <= G^2 / (2 mu k^2) drops the step,
-            # the exact loss-space image of the gradient-norm gate.
-            fgap = 0.5 / mu * np.einsum("sd,sd->s", g, g)
-            keep = fgap > G * G / (2.0 * mu * k * k)
+            keep = np.ones(W.shape[0], dtype=bool)
         skips[k - 1] = int(W.shape[0] - keep.sum())
         W[keep] -= (1.0 / (mu * k)) * g[keep]
         _project_rows(W, D)
@@ -160,8 +130,8 @@ def _last_decade_slope(ks: np.ndarray, avg_err: np.ndarray) -> float:
 
 
 def run_certification(config: TheoremRunConfig) -> dict:
-    """Run gated, ungated and loss-gated chains on shared index streams and
-    certify the configured one against the L/k envelope."""
+    """Run the gated and ungated chains on shared index streams and certify
+    the configured one against the L/k envelope."""
     problem = config.problem
     L = bound_constant(problem)
     n_steps, n_seeds = config.n_steps, config.n_seeds
@@ -177,9 +147,8 @@ def run_certification(config: TheoremRunConfig) -> dict:
         W0[s] = uniform_ball(problem.dim, problem.D, rng)
         idx[s] = rng.integers(problem.n, size=n_steps)
 
-    err_shrunk, skips = _run_batch(problem, idx, W0, "grad", record_ks)
-    err_plain, _ = _run_batch(problem, idx, W0, "plain", record_ks)
-    err_loss, _ = _run_batch(problem, idx, W0, "loss", record_ks)
+    err_shrunk, skips = _run_batch(problem, idx, W0, True, record_ks)
+    err_plain, _ = _run_batch(problem, idx, W0, False, record_ks)
 
     certified = err_shrunk if config.mode == "shrunk" else err_plain
     avg = certified.mean(axis=1)
@@ -187,11 +156,6 @@ def run_certification(config: TheoremRunConfig) -> dict:
     bound = L / record_ks
     violations = avg > bound
     violations_3se = (avg - 3.0 * se) > bound
-
-    avg_loss = err_loss.mean(axis=1)
-    avg_shrunk = err_shrunk.mean(axis=1)
-    denom = np.maximum(avg_shrunk, 1e-300)
-    loss_reldiff = float(np.max(np.abs(avg_loss - avg_shrunk) / denom))
 
     return {
         "constants": {"mu": problem.mu, "G": problem.G, "D": problem.D,
@@ -203,12 +167,10 @@ def run_certification(config: TheoremRunConfig) -> dict:
         "avg_err": avg.tolist(),
         "se_err": se.tolist(),
         "avg_err_plain": err_plain.mean(axis=1).tolist(),
-        "avg_err_shrunk": avg_shrunk.tolist(),
-        "avg_err_loss_variant": avg_loss.tolist(),
+        "avg_err_shrunk": err_shrunk.mean(axis=1).tolist(),
         "bound": bound.tolist(),
         "violation_fraction": float(violations.mean()),
         "violation_fraction_3se": float(violations_3se.mean()),
         "slope_last_decade": _last_decade_slope(record_ks.astype(float), avg),
         "skip_rate_per_decade": _decade_rates(skips, n_seeds),
-        "loss_variant_max_reldiff": loss_reldiff,
     }

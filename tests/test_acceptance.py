@@ -20,9 +20,9 @@ from shrinkopt.dataio import SparseInstance, synth_strongly_convex, synth_svm
 from shrinkopt.dual_cd import solve as dual_solve
 from shrinkopt.experiments import run_experiment
 from shrinkopt.linear_models import (PrimalModel, cross_entropy, hinge_loss,
-                                     hinge_subgradient, logistic_gradient,
-                                     logistic_predict, svm_objective)
-from shrinkopt.primal_sgd import BatchPolicy, epoch_eval_schedule, run_sgd
+                                     svm_objective)
+from shrinkopt.primal_sgd import (BatchPolicy, epoch_eval_schedule,
+                                  pegasos_step, run_sgd)
 from shrinkopt.theorem_harness import TheoremRunConfig, run_certification
 
 
@@ -212,6 +212,8 @@ def test_c7_byte_identical_artifacts(tmp_path):
 
 
 def test_c8_gradients_match_central_differences():
+    # The checks differentiate the steps that train: the loss part of
+    # pegasos_step, and the assistant's cross-entropy step at learning rate 1.
     rng = np.random.default_rng(5)
     h, tol = 1e-6, 1e-5
     worst = 0.0
@@ -219,16 +221,19 @@ def test_c8_gradients_match_central_differences():
     checked = 0
     while checked < 20:
         dim = 8
-        model = PrimalModel(rng.normal(size=dim), lam=0.1, C=0.1)
+        lam, k = 0.01, 100   # eta = 1/(lam k) = 1, and no projection fires
+        model = PrimalModel(rng.normal(size=dim), lam=lam, C=0.1)
         idx = np.sort(rng.choice(dim, size=4, replace=False)).astype(np.int64)
         inst = SparseInstance(int(rng.choice([-1, 1])), idx,
                               rng.normal(size=4))
         if abs(inst.label * float(model.w[idx] @ inst.values) - 1.0) < 1e-3:
             continue
-        gi, gv = hinge_subgradient(model, inst)
-        grad = np.zeros(dim)
-        grad[gi] = gv
-        for j in idx:
+        stepped = PrimalModel(model.w.copy(), lam=lam, C=0.1)
+        pegasos_step(stepped, (inst,), k)
+        assert float(np.linalg.norm(stepped.w)) < 1.0 / math.sqrt(lam)
+        # w_new = (1 - 1/k) w - eta g
+        grad = ((1.0 - 1.0 / k) * model.w - stepped.w) * (lam * k)
+        for j in range(dim):
             model.w[j] += h
             up = hinge_loss(model, inst)
             model.w[j] -= 2 * h
@@ -239,24 +244,29 @@ def test_c8_gradients_match_central_differences():
 
     for _ in range(20):
         dim = 6
-        phi = rng.normal(size=dim)
-        bias = float(rng.normal())
+        a = AssistantModel(phi=rng.normal(size=dim), bias=float(rng.normal()),
+                           learning_rate=1.0)
         idx = np.sort(rng.choice(dim, size=3, replace=False)).astype(np.int64)
         inst = SparseInstance(1, idx, rng.normal(size=3))
         z = int(rng.integers(2))
-        gvec, gb = logistic_gradient(phi, inst, bias, z)
-        for pos, j in enumerate(idx):
-            phi[j] += h
-            up = cross_entropy(logistic_predict(phi, inst, bias), z)
-            phi[j] -= 2 * h
-            dn = cross_entropy(logistic_predict(phi, inst, bias), z)
-            phi[j] += h
-            worst = max(worst, abs(gvec[pos] - (up - dn) / (2 * h)))
-        up = cross_entropy(logistic_predict(phi, inst, bias + h), z)
-        dn = cross_entropy(logistic_predict(phi, inst, bias - h), z)
+        b = AssistantModel(phi=a.phi.copy(), bias=a.bias, learning_rate=1.0)
+        b.train_on_pair(inst, z)
+        gvec, gb = a.phi - b.phi, a.bias - b.bias
+        for j in range(dim):
+            a.phi[j] += h
+            up = cross_entropy(a.score(inst), z)
+            a.phi[j] -= 2 * h
+            dn = cross_entropy(a.score(inst), z)
+            a.phi[j] += h
+            worst = max(worst, abs(gvec[j] - (up - dn) / (2 * h)))
+        a.bias += h
+        up = cross_entropy(a.score(inst), z)
+        a.bias -= 2 * h
+        dn = cross_entropy(a.score(inst), z)
+        a.bias += h
         worst = max(worst, abs(gb - (up - dn) / (2 * h)))
 
     ok = worst <= tol
     _report("criterion 8", ok,
             f"worst |analytic - central difference| = {worst:.2e} "
-            f"at 20 hinge + 20 logistic points")
+            f"at 20 pegasos_step hinge + 20 assistant logistic points")

@@ -339,7 +339,7 @@ def test_pegasos_boss_single_batch_matches_step():
     ref = PrimalModel.zeros(6, 0.1, 40)
     for k, i in enumerate((3, 17, 3, 25), start=1):
         boss.update([i])
-        pegasos_step(ref, ds.instances[i], k)
+        pegasos_step(ref, (ds.instances[i],), k)
         np.testing.assert_array_equal(boss.model.w, ref.w)
     assert boss.version == 4
 

@@ -47,6 +47,24 @@ def test_parse_errors_carry_line_number():
         parse_libsvm("+1 1:1\n-1 1:1\n+1 0:1.0")
 
 
+def test_parse_rejects_labels_other_than_plus_minus_one(tmp_path):
+    # a {0,1}-labeled file would otherwise train on its +1 rows only
+    p = tmp_path / "zero_one.txt"
+    p.write_text("1 1:1.0\n1 2:0.5\n0 1:-1.0\n0 2:2.0\n")
+    with pytest.raises(ParseError, match="line 3: label '0' is not"):
+        load_libsvm(p)
+    for bad in ("2", "nan", "inf", "0.5"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_libsvm(f"-1 1:1.0\n{bad} 1:1.0")
+
+
+def test_dataset_rejects_labels_other_than_plus_minus_one():
+    good = SparseInstance(label=-1.0, indices=np.array([0]), values=np.ones(1))
+    bad = SparseInstance(label=0.0, indices=np.array([1]), values=np.ones(1))
+    with pytest.raises(ValueError, match="instance 1: label"):
+        Dataset([good, bad])
+
+
 def test_parse_empty_input_raises():
     with pytest.raises(ParseError, match="empty dataset"):
         parse_libsvm("")
@@ -132,6 +150,7 @@ def test_csr_view_matches_instances():
     np.testing.assert_allclose(X[1], [0.0, 2.0, 0.0])
     np.testing.assert_allclose(X[2], 0.0)
     np.testing.assert_allclose(ds.norms_sq, [1.25, 4.0, 0.0])
+    assert ds.norms_sq is ds.norms_sq   # built once, like X and labels
 
 
 def test_synth_strongly_convex_single_centered_quadratic():

@@ -7,30 +7,29 @@ import pytest
 
 from shrinkopt import dual_cd
 from shrinkopt.dataio import parse_libsvm, synth_svm
-from shrinkopt.dual_cd import (DualState, coordinate_gradient,
-                               dual_coordinate_update, duality_gap,
-                               projected_gradient, shrink_pass, solve)
+from shrinkopt.dual_cd import (DualState, coordinate_gradient, duality_gap,
+                               projected_gradient, solve)
 from shrinkopt.linear_models import svm_objective
 
 
 def test_first_update_clips_to_box():
     # alpha=0, w=0, Q_ii=1, C=1: gradient is -1, exact step hits the C bound
     ds = parse_libsvm("+1 1:1.0")
-    state = DualState.init(ds, C=1.0)
-    assert coordinate_gradient(state, ds, 0) == -1.0
-    delta = dual_coordinate_update(state, ds, 0)
-    assert delta == 1.0
-    assert state.alpha[0] == 1.0
-    np.testing.assert_array_equal(state.w, [1.0])
+    assert coordinate_gradient(DualState.init(ds, C=1.0), ds, 0) == -1.0
+    res = solve(ds, C=1.0, max_epochs=1)
+    assert res.n_updates == 1
+    assert res.state.alpha[0] == 1.0
+    np.testing.assert_array_equal(res.state.w, [1.0])
 
 
 def test_zero_gradient_is_noop():
+    # C=2: the first sweep moves alpha to 1 (interior), where y w.x = 1 and
+    # the gradient is 0, so the second sweep evaluates but does not update
     ds = parse_libsvm("+1 1:1.0")
-    state = DualState.init(ds, C=2.0)
-    state.alpha[0] = 0.5
-    state.w[:] = [1.0]  # y w.x = 1 -> gradient 0
-    assert dual_coordinate_update(state, ds, 0) == 0.0
-    assert state.alpha[0] == 0.5
+    res = solve(ds, C=2.0, max_epochs=2, use_shrinking=False)
+    assert res.converged
+    assert (res.n_sweeps, res.n_evals, res.n_updates) == (2, 2, 1)
+    assert res.state.alpha[0] == 1.0
 
 
 def test_projected_gradient_cases():
@@ -42,6 +41,9 @@ def test_projected_gradient_cases():
 
 
 def test_pg_zero_iff_update_noop():
+    # solve updates a coordinate only when its projected gradient is
+    # nonzero; that skips exactly the coordinates whose box-clipped Newton
+    # step would leave alpha where it is
     ds = synth_svm(30, 4, margin=0.5, flip_prob=0.2, seed=0)
     rng = np.random.default_rng(1)
     C = 0.7
@@ -51,15 +53,10 @@ def test_pg_zero_iff_update_noop():
         state.w = state.recompute_w(ds)
         for i in range(30):
             grad = coordinate_gradient(state, ds, i)
-            pg = projected_gradient(float(state.alpha[i]), grad, C)
-            before = state.alpha[i]
-            delta = dual_coordinate_update(state, ds, i)
-            # undo so each coordinate sees the same state
-            if delta != 0.0:
-                state.alpha[i] = before
-                inst = ds.instances[i]
-                state.w[inst.indices] -= (delta * inst.label) * inst.values
-            assert (pg == 0.0) == (delta == 0.0)
+            alpha_i = float(state.alpha[i])
+            pg = projected_gradient(alpha_i, grad, C)
+            stepped = min(max(alpha_i - grad / state.qdiag[i], 0.0), C)
+            assert (pg == 0.0) == (stepped == alpha_i)
 
 
 def test_zero_diag_coordinate_rejected_and_skipped():
@@ -67,11 +64,11 @@ def test_zero_diag_coordinate_rejected_and_skipped():
     state = DualState.init(ds, C=1.0)
     assert state.n_zero_diag == 1
     assert not state.active[0] and state.active[1]
-    with pytest.raises(ValueError, match="Q_ii = 0"):
-        dual_coordinate_update(state, ds, 0)
     res = solve(ds, C=1.0, tol=1e-8)
     assert res.converged
     assert res.state.alpha[0] == 0.0
+    # one evaluation per sweep: the empty row is never visited
+    assert res.n_evals == res.n_sweeps
 
 
 def test_shrink_candidate_rule():
@@ -84,13 +81,15 @@ def test_shrink_candidate_rule():
 
 
 def test_shrink_pass_interior_untouched():
+    # an interior alpha is never a shrink candidate, whatever its gradient
     ds = synth_svm(20, 3, margin=0.5, flip_prob=0.1, seed=2)
     state = DualState.init(ds, C=1.0)
     state.alpha[:] = 0.5  # all interior
     state.w = state.recompute_w(ds)
-    removed = shrink_pass(state, ds, eps_shrink=0.1)
-    assert removed == 0
-    assert state.active.all()
+    for i in range(len(ds)):
+        grad = coordinate_gradient(state, ds, i)
+        assert not dual_cd._shrink_candidate(0.5, grad, 1.0, 0.1)
+        assert not dual_cd._shrink_candidate(0.5, 100.0 * grad, 1.0, 0.1)
 
 
 def test_c_to_zero_collapses():

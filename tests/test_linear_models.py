@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from shrinkopt.dataio import SparseInstance, parse_libsvm, synth_svm
-from shrinkopt.linear_models import (SIGMOID_CLAMP, ComponentProblem,
-                                     PrimalModel, cross_entropy, hinge_loss,
-                                     hinge_subgradient, logistic_gradient,
-                                     logistic_predict, mean_loss_objective,
-                                     svm_objective)
+from shrinkopt.linear_models import (ComponentProblem, PrimalModel,
+                                     cross_entropy, hinge_loss, svm_objective)
+from shrinkopt.primal_sgd import pegasos_step
 
 
 def _inst(indices, values, label=1.0):
@@ -20,6 +18,17 @@ def _inst(indices, values, label=1.0):
 
 def _model(w, lam=0.1, C=1.0):
     return PrimalModel(w=np.asarray(w, dtype=float), lam=lam, C=C)
+
+
+def _step_loss_grad(w, inst, lam=0.01, k=100):
+    """The loss subgradient pegasos_step applies at w, read back from the
+    step: w_new = (1 - 1/k) w - eta g with eta = 1/(lam k), where k keeps
+    the step inside the projection ball so no projection fires."""
+    w = np.array(w, dtype=float)
+    m = _model(w.copy(), lam=lam)
+    pegasos_step(m, (inst,), k)
+    assert float(np.linalg.norm(m.w)) < 1.0 / np.sqrt(lam)
+    return ((1.0 - 1.0 / k) * w - m.w) * (lam * k)
 
 
 def test_hinge_loss_examples():
@@ -37,15 +46,12 @@ def test_hinge_dimension_overflow():
 
 
 def test_hinge_subgradient_branches():
+    # pegasos_step applies -y*x when y*w.x < 1 and nothing otherwise; at the
+    # kink y*w.x = 1 the zero branch is chosen
     x = _inst([0], [1.0])
-    idx, vals = hinge_subgradient(_model([2.0]), x)
-    assert idx.size == 0 and vals.size == 0
-    idx, vals = hinge_subgradient(_model([0.0]), x)
-    assert idx.tolist() == [0]
-    assert vals.tolist() == [-1.0]
-    # at the kink y*w.x = 1 the zero branch is chosen
-    idx, vals = hinge_subgradient(_model([1.0]), x)
-    assert idx.size == 0
+    np.testing.assert_array_equal(_step_loss_grad([2.0], x), [0.0])
+    np.testing.assert_allclose(_step_loss_grad([0.0], x), [-1.0], rtol=1e-12)
+    np.testing.assert_array_equal(_step_loss_grad([1.0], x), [0.0])
 
 
 def test_hinge_subgradient_finite_differences():
@@ -60,9 +66,7 @@ def test_hinge_subgradient_finite_differences():
         margin = inst.label * float(w[inst.indices] @ inst.values)
         if abs(margin - 1.0) < 1e-3:
             continue  # stay off the kink
-        gidx, gvals = hinge_subgradient(_model(w), inst)
-        dense = np.zeros(dim)
-        dense[gidx] = gvals
+        dense = _step_loss_grad(w, inst)
         for j in range(dim):
             wp, wm = w.copy(), w.copy()
             wp[j] += h
@@ -108,13 +112,17 @@ def test_svm_objective_matches_naive_loop():
 
 
 def test_mean_loss_form_is_scaled_sum_form():
+    # pegasos_step descends (lam/2)||w||^2 + mean hinge; with the C that
+    # PrimalModel.zeros ties to lam, that is lam * svm_objective
     ds = synth_svm(50, 5, margin=1.0, flip_prob=0.1, seed=3)
     lam = 0.2
     rng = np.random.default_rng(4)
     for _ in range(5):
-        m = PrimalModel(w=rng.standard_normal(5), lam=lam, C=1.0 / (lam * len(ds)))
-        assert mean_loss_objective(m, ds) == pytest.approx(
-            lam * svm_objective(m, ds), rel=1e-12)
+        m = PrimalModel.zeros(5, lam, len(ds))
+        m.w = rng.standard_normal(5)
+        mean_form = 0.5 * lam * float(m.w @ m.w) + np.mean(
+            [hinge_loss(m, inst) for inst in ds])
+        assert mean_form == pytest.approx(lam * svm_objective(m, ds), rel=1e-12)
 
 
 def test_svm_objective_convex_on_segments():
@@ -137,50 +145,10 @@ def test_primal_model_validation():
     assert m.C == pytest.approx(1.0 / (0.5 * 8))
 
 
-def test_logistic_predict_examples():
-    x = _inst([0, 1], [1.0, 2.0])
-    assert logistic_predict(np.zeros(2), x) == 0.5
-    # saturation stays inside the clamp
-    hi = logistic_predict(np.array([100.0, 100.0]), x)
-    lo = logistic_predict(np.array([-100.0, -100.0]), x)
-    assert hi == 1.0 - SIGMOID_CLAMP
-    assert lo == SIGMOID_CLAMP
-    # bias shifts the score
-    assert logistic_predict(np.zeros(2), x, bias=1.0) == pytest.approx(
-        1.0 / (1.0 + np.exp(-1.0)))
-
-
 def test_cross_entropy_finite_at_extremes():
     assert np.isfinite(cross_entropy(0.0, 1))
     assert np.isfinite(cross_entropy(1.0, 0))
     assert cross_entropy(0.5, 1) == pytest.approx(np.log(2.0))
-
-
-def test_logistic_gradient_finite_differences():
-    rng = np.random.default_rng(12)
-    dim, h = 5, 1e-6
-    for _ in range(20):
-        phi = rng.standard_normal(dim) * 0.5
-        bias = float(rng.standard_normal())
-        nnz = int(rng.integers(1, dim + 1))
-        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
-        inst = _inst(idx, rng.standard_normal(nnz))
-        z = int(rng.integers(0, 2))
-
-        def ce(p_phi, p_bias):
-            return cross_entropy(logistic_predict(p_phi, inst, p_bias), z)
-
-        gvals, gbias = logistic_gradient(phi, inst, bias, z)
-        dense = np.zeros(dim)
-        dense[inst.indices] = gvals
-        for j in range(dim):
-            pp, pm = phi.copy(), phi.copy()
-            pp[j] += h
-            pm[j] -= h
-            fd = (ce(pp, bias) - ce(pm, bias)) / (2 * h)
-            assert abs(fd - dense[j]) < 1e-5
-        fd_b = (ce(phi, bias + h) - ce(phi, bias - h)) / (2 * h)
-        assert abs(fd_b - gbias) < 1e-5
 
 
 def test_component_problem_constants():

@@ -52,7 +52,7 @@ def test_step_size_formula_via_pure_shrink():
     m = PrimalModel(w=np.array([0.8, 0.0]), lam=1.0, C=1.0)
     x = _inst([0], [2.0])  # margin = 0.8*2 = 1.6 >= 1, inactive
     led = CostLedger()
-    pegasos_step(m, x, k=2, ledger=led)
+    pegasos_step(m, (x,), k=2, ledger=led)
     np.testing.assert_allclose(m.w, [0.4, 0.0], rtol=1e-15)
     assert led.n_updates == 1
 
@@ -61,17 +61,31 @@ def test_pegasos_step_active_update():
     lam = 0.5
     m = PrimalModel(w=np.zeros(2), lam=lam, C=1.0)
     x = _inst([1], [3.0], label=-1.0)
-    pegasos_step(m, x, k=1)
+    pegasos_step(m, (x,), k=1)
     # eta = 1/lam = 2; w_new = 0 + eta * y * x then projection to 1/sqrt(lam)
     raw = np.array([0.0, 2.0 * -1.0 * 3.0])
     radius = 1.0 / math.sqrt(lam)
     np.testing.assert_allclose(m.w, raw * radius / np.linalg.norm(raw), rtol=1e-15)
 
 
+def test_pegasos_step_batch_mean_of_pre_step_margins():
+    # lam=1, k=2 -> eta=0.5.  Both margins are read at the pre-step w: the
+    # first instance is active (margin 0), the second inactive (margin 2),
+    # even though the first one's update would change the second's margin.
+    m = PrimalModel(w=np.array([0.0, 1.0]), lam=1.0, C=1.0)
+    a = _inst([0], [1.0])
+    b = _inst([0, 1], [1.0, 2.0])
+    led = CostLedger()
+    pegasos_step(m, (a, b), k=2, ledger=led, loss_weight=3.0)
+    # (1 - 0.5) * [0, 1] + (0.5 * 3 / 2) * [1, 0]
+    np.testing.assert_allclose(m.w, [0.75, 0.5], rtol=1e-15)
+    assert led.n_updates == 1
+
+
 def test_pegasos_step_rejects_bad_k():
     m = PrimalModel(w=np.zeros(1), lam=1.0, C=1.0)
     with pytest.raises(ValueError):
-        pegasos_step(m, _inst([0], [1.0]), k=0)
+        pegasos_step(m, (_inst([0], [1.0]),), k=0)
 
 
 def test_projection_invariant_along_trajectory():
@@ -81,7 +95,7 @@ def test_projection_invariant_along_trajectory():
         m = PrimalModel.zeros(4, lam, len(ds))
         radius = 1.0 / math.sqrt(lam)
         for k in range(1, 300):
-            pegasos_step(m, ds.instances[int(rng.integers(50))], k)
+            pegasos_step(m, (ds.instances[int(rng.integers(50))],), k)
             assert float(np.linalg.norm(m.w)) <= radius + 1e-12
 
 
@@ -247,7 +261,7 @@ def test_is_step_uniform_weight_matches_plain_step():
     for k in range(1, 30):
         u = rng2.random()
         j = min(int(np.searchsorted(pol._cdf, u, side="right")), 19)
-        pegasos_step(m2, ds.instances[int(pol.chunk[j])], k)
+        pegasos_step(m2, (ds.instances[int(pol.chunk[j])],), k)
     np.testing.assert_array_equal(m.w, m2.w)
 
 
@@ -264,7 +278,7 @@ def test_is_step_degenerate_distribution():
     # inverse-probability weight is 1/(|C| * 1) = 0.5
     m2 = PrimalModel.zeros(2, 1.0, 2)
     for k in range(1, 51):
-        pegasos_step(m2, ds.instances[0], k, loss_weight=0.5)
+        pegasos_step(m2, (ds.instances[0],), k, loss_weight=0.5)
     np.testing.assert_array_equal(m.w, m2.w)
 
 
