@@ -20,6 +20,7 @@ import math
 import threading
 import time
 import traceback
+from bisect import bisect_left, insort
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -59,6 +60,12 @@ class ThresholdPolicy:
     fixed: T is a constant.  quantile: T is the q-quantile (midpoint rule)
     of the last `window` reported losses, refreshed after each report; the
     initial T applies until the first losses arrive.
+
+    The window is kept twice: in arrival order, to know which loss leaves
+    next, and as a sorted list that each loss enters and leaves by
+    bisection.  T is then read off the two order statistics around
+    h = (n - 1) q with numpy's own midpoint formula, so it equals
+    np.quantile(window, q, method="midpoint") without re-sorting.
     """
 
     kind: str = "quantile"
@@ -66,6 +73,7 @@ class ThresholdPolicy:
     q: float = 0.5
     window: int = 1000
     _losses: deque = field(default_factory=deque, repr=False)
+    _sorted: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "quantile"):
@@ -75,6 +83,7 @@ class ThresholdPolicy:
         if self.window < 1:
             raise ValueError("window must be >= 1")
         self._losses = deque(self._losses, maxlen=self.window)
+        self._sorted = sorted(self._losses)
 
     @property
     def current(self) -> float:
@@ -83,9 +92,20 @@ class ThresholdPolicy:
     def extend(self, losses) -> None:
         if self.kind == "fixed":
             return
-        self._losses.extend(losses)
-        arr = np.fromiter(self._losses, dtype=float)
-        self.T = float(np.quantile(arr, self.q, method="midpoint"))
+        losses = [float(loss) for loss in losses]
+        if not all(map(math.isfinite, losses)):
+            raise ValueError("losses must be finite")
+        window, ordered = self._losses, self._sorted
+        for loss in losses:
+            if len(window) == self.window:
+                del ordered[bisect_left(ordered, window[0])]
+            window.append(loss)
+            insort(ordered, loss)
+        if not ordered:
+            return
+        h = (len(ordered) - 1) * self.q
+        lo, hi = ordered[math.floor(h)], ordered[math.ceil(h)]
+        self.T = lo if lo == hi else hi - (hi - lo) * 0.5
 
 
 @dataclass

@@ -68,7 +68,7 @@ class SolveResult:
 
     def primal_model(self, dataset: Dataset) -> PrimalModel:
         lam = 1.0 / (self.state.C * len(dataset))
-        return PrimalModel(w=self.state.w.copy(), lam=lam, C=self.state.C)
+        return PrimalModel(w=self.state.w, lam=lam, C=self.state.C)
 
 
 def coordinate_gradient(state: DualState, dataset: Dataset, i: int) -> float:

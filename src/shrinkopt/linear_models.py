@@ -36,7 +36,8 @@ class PrimalModel:
     C: float
 
     def __post_init__(self) -> None:
-        self.w = np.asarray(self.w, dtype=np.float64)
+        # A copy, so steps on the model never write into the caller's array.
+        self.w = np.array(self.w, dtype=np.float64)
         if self.lam <= 0 or self.C <= 0:
             raise ValueError("lam and C must be positive")
 
@@ -64,9 +65,14 @@ def svm_objective(model: PrimalModel, dataset: "Dataset") -> float:
     return 0.5 * float(model.w @ model.w) + model.C * float(hinge.sum())
 
 
-def sigmoid(z: float | np.ndarray) -> float | np.ndarray:
-    z = np.clip(z, -40.0, 40.0)
-    return 1.0 / (1.0 + np.exp(-z))
+def sigmoid(z: float) -> float:
+    """Logistic function of one float, with z clamped to [-40, 40].
+
+    np.exp, not math.exp: the two differ in the last bit on a few percent
+    of inputs, and the pipeline's outputs are pinned to numpy's exp.
+    """
+    z = min(max(z, -40.0), 40.0)
+    return 1.0 / (1.0 + float(np.exp(-z)))
 
 
 def cross_entropy(p: float, z: int) -> float:

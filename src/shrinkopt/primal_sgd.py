@@ -180,12 +180,12 @@ def shrink_decide(policy: BatchPolicy, model: PrimalModel, inst: SparseInstance,
     value = criterion_value(policy, model, inst)
     if policy.kind == THEOREM:
         return value > policy.threshold / k
-    if value >= policy.threshold:
-        return True
-    if policy.kind == SK:
-        return False
-    accept = max(policy.floor_prob, value / policy.threshold)
-    return bool(rng.random() < accept)
+    keep = value >= policy.threshold
+    if not keep and policy.kind == SK_BS:
+        keep = bool(rng.random() < max(policy.floor_prob, value / policy.threshold))
+    # Hard shrinking must never update below the threshold.
+    assert policy.kind != SK or not keep or value >= policy.threshold
+    return keep
 
 
 def refresh_importance_weights(model: PrimalModel, dataset: Dataset,
@@ -310,9 +310,6 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
             if decide:
                 keep = shrink_decide(policy, model, inst, ledger.n_updates + 1,
                                      rng, ledger)
-                if policy.kind == SK:
-                    # Hard shrinking must never update below the threshold.
-                    assert not keep or criterion_value(policy, model, inst) >= policy.threshold
             else:
                 ledger.n_evals += 1
                 keep = True

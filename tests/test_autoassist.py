@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from shrinkopt import autoassist
 from shrinkopt.autoassist import (METRIC_KEYS, AssistantModel, BossBatch,
                                   BoundedChannel, IndexStream, LossReport,
                                   PegasosBoss, PipelineConfig, QuadraticBoss,
@@ -58,6 +59,18 @@ def test_threshold_window_evicts_oldest():
     pol = ThresholdPolicy(kind="quantile", q=0.5, window=2)
     pol.extend([1.0, 2.0, 3.0])
     assert pol.current == 2.5
+
+
+def test_threshold_rejects_non_finite_losses():
+    pol = ThresholdPolicy(kind="quantile", q=0.5, window=4)
+    pol.extend([1.0, 3.0])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            pol.extend([2.0, bad])
+    # a rejected report leaves the window untouched
+    assert pol.current == 2.0
+    pol.extend([5.0])
+    assert pol.current == 3.0
 
 
 def test_threshold_fixed_never_moves():
@@ -427,6 +440,48 @@ def test_interleaved_deterministic():
     np.testing.assert_array_equal(outs[0][0], outs[1][0])
     np.testing.assert_array_equal(outs[0][1], outs[1][1])
     assert outs[0][2] == outs[1][2]
+
+
+def _numpy_sigmoid(z):
+    z = np.clip(z, -40.0, 40.0)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _numpy_extend(self, losses):
+    if self.kind == "fixed":
+        return
+    self._losses.extend(losses)
+    arr = np.fromiter(self._losses, dtype=float)
+    self.T = float(np.quantile(arr, self.q, method="midpoint"))
+
+
+@pytest.mark.parametrize("q,window", [(0.5, 1000), (0.3, 50)])
+def test_interleaved_matches_numpy_reference_formulas(monkeypatch, q, window):
+    # The scalar sigmoid and the sorted-window quantile must reproduce the
+    # numpy forms bit for bit: the same boss and assistant weights, the same
+    # metric lines and the same sampler counts.
+    ds = synth_svm(300, 8, margin=0.3, flip_prob=0.1, seed=7)
+    cfg = _small_cfg(batch_size=8, n_boss_steps=80, k_low_water=4, cap_boss=8)
+
+    def run():
+        a = AssistantModel.zeros(8, gamma=0.3,
+                                 threshold=ThresholdPolicy(q=q, window=window))
+        r = run_interleaved(PegasosBoss(ds, 0.05), a, cfg)
+        return r, a
+
+    fast, fast_a = run()
+    with monkeypatch.context() as mp:
+        mp.setattr(autoassist, "sigmoid", _numpy_sigmoid)
+        mp.setattr(ThresholdPolicy, "extend", _numpy_extend)
+        ref, ref_a = run()
+    np.testing.assert_array_equal(fast.boss.model.w, ref.boss.model.w)
+    np.testing.assert_array_equal(fast_a.phi, ref_a.phi)
+    assert fast_a.bias == ref_a.bias
+    assert fast_a.threshold.T == ref_a.threshold.T
+    assert fast.metrics == ref.metrics
+    assert fast.stats == ref.stats
+    assert fast.reports_dropped == ref.reports_dropped
+    assert 0 < fast.stats.accepted < fast.stats.candidates
 
 
 def test_interleaved_metric_schema():

@@ -145,6 +145,14 @@ def test_primal_model_validation():
     assert m.C == pytest.approx(1.0 / (0.5 * 8))
 
 
+def test_primal_model_copies_its_weights():
+    w = np.array([0.5, -0.25])
+    m = PrimalModel(w=w, lam=0.1, C=1.0)
+    pegasos_step(m, (_inst([0, 1], [1.0, 1.0]),), 1)
+    np.testing.assert_array_equal(w, [0.5, -0.25])
+    assert not np.array_equal(m.w, w)
+
+
 def test_cross_entropy_finite_at_extremes():
     assert np.isfinite(cross_entropy(0.0, 1))
     assert np.isfinite(cross_entropy(1.0, 0))

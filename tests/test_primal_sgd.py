@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from shrinkopt import dual_cd
+from shrinkopt import dual_cd, primal_sgd
 from shrinkopt.dataio import SparseInstance, parse_libsvm, synth_svm
 from shrinkopt.linear_models import PrimalModel, hinge_loss, svm_objective
 from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError,
@@ -352,6 +352,18 @@ def test_run_sgd_eval_counts_sk_family():
                                0.1, 5, seed=0)
         assert ledger.n_evals == 600
         assert ledger.n_updates <= ledger.n_evals
+
+
+def test_run_sgd_sk_reads_criterion_once_per_arrival(monkeypatch):
+    # the hard-shrinking check runs on the value shrink_decide already holds
+    calls = []
+    real = primal_sgd.hinge_loss
+    monkeypatch.setattr(primal_sgd, "hinge_loss",
+                        lambda m, inst: calls.append(1) or real(m, inst))
+    ds = synth_svm(120, 5, margin=1.0, flip_prob=0.1, seed=2)
+    _, ledger, _ = run_sgd(ds, BatchPolicy(kind="sk", threshold=0.2), 0.1, 2, seed=0)
+    assert 0 < ledger.n_updates < 240
+    assert len(calls) == 240
 
 
 def test_run_sgd_deterministic():
