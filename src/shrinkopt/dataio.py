@@ -1,5 +1,14 @@
 """Dataset loading and synthetic problem generators.
 
+A Dataset is one set of CSR arrays, the layout LIBLINEAR uses: ``labels``
+(+1 or -1 per row), ``indptr`` (row i owns positions indptr[i]:indptr[i+1]),
+``indices`` (int64, 0-based, strictly increasing within a row) and ``data``
+(finite float64 values), plus ``norms_sq`` computed once.  ``X`` is a scipy
+CSR matrix over the same ``data``.  ``instances`` holds one SparseInstance
+per row whose ``indices`` and ``values`` are views into those arrays: the
+solvers read rows without copying, and no row owns a buffer of its own.
+Validation runs once, in bulk, when a Dataset is built.
+
 The on-disk format is libsvm text: one instance per line,
 
     <label> <index>:<value> <index>:<value> ...
@@ -19,10 +28,12 @@ seed.
 from __future__ import annotations
 
 import gzip
-import io
+import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,13 +45,27 @@ class ParseError(ValueError):
     """Malformed libsvm input; message carries the 1-based line number."""
 
 
+def _row_problem(indices: np.ndarray, values: np.ndarray) -> str | None:
+    """What makes one row's feature arrays invalid, or None."""
+    if indices.shape != values.shape:
+        return "indices and values must have equal length"
+    if indices.size and indices[0] < 0:
+        return "feature indices must be >= 0"
+    if np.any(np.diff(indices) <= 0):
+        return "feature indices must be strictly increasing"
+    if not np.all(np.isfinite(values)):
+        return "feature values must be finite"
+    return None
+
+
 @dataclass
 class SparseInstance:
     """One labeled example with a sparse feature vector.
 
     ``indices`` are 0-based, strictly increasing; ``norm_sq`` caches
-    ``sum(values**2)`` because the dual solver needs it per coordinate
-    update.  Treated as immutable after construction.
+    ``values @ values`` because the dual solver needs it per coordinate
+    update.  Treated as immutable after construction.  A Dataset's rows
+    are instances whose arrays are views into the Dataset's arrays.
     """
 
     label: float
@@ -51,15 +76,9 @@ class SparseInstance:
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must have equal length")
-        if self.indices.size:
-            if self.indices[0] < 0:
-                raise ValueError("feature indices must be >= 0")
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("feature indices must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature values must be finite")
+        problem = _row_problem(self.indices, self.values)
+        if problem:
+            raise ValueError(problem)
         if self.norm_sq < 0.0:
             self.norm_sq = float(self.values @ self.values)
 
@@ -68,38 +87,99 @@ class SparseInstance:
         return int(self.indices.size)
 
 
+def _first_invalid_row(labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                       data: np.ndarray) -> int | None:
+    """The first row whose label is not +1 or -1, or whose indices are
+    negative or not strictly increasing, or whose values are not finite."""
+    bad = np.flatnonzero((labels != 1.0) & (labels != -1.0))
+    first = int(bad[0]) if bad.size else None
+    rising = np.ones(indices.size, dtype=bool)
+    rising[1:] = indices[1:] > indices[:-1]
+    starts = indptr[:-1]
+    rising[starts[starts < indices.size]] = True    # a row's first index
+    pos = np.flatnonzero(~(rising & (indices >= 0) & np.isfinite(data)))
+    if pos.size:
+        row = int(np.searchsorted(indptr, pos[0], side="right")) - 1
+        first = row if first is None else min(first, row)
+    return first
+
+
 class Dataset:
-    """An in-memory list of +1/-1 labeled instances plus cached label,
-    squared-norm and CSR arrays.
+    """+1/-1 labeled rows held as one set of CSR arrays.
+
+    ``labels``, ``indptr``, ``indices`` (int64), ``data`` and ``norms_sq``
+    are the layout; ``X`` is a scipy CSR matrix over ``data``;
+    ``instances[i]`` is row i as a SparseInstance whose arrays are views
+    into ``indices`` and ``data``.  Every row is built when the Dataset
+    is, so no hot path pays for set-up.  ``Dataset(instances)`` packs row
+    objects into the arrays and goes the same way.  Pickles as its arrays.
 
     Immutable after construction; safe to share read-only across workers.
     """
 
     def __init__(self, instances: list[SparseInstance], n_features: int | None = None,
                  name: str = ""):
-        if not instances:
+        indptr = np.zeros(len(instances) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum([inst.nnz for inst in instances])
+        self._set_arrays(
+            np.array([inst.label for inst in instances], dtype=np.float64), indptr,
+            np.concatenate([np.zeros(0, np.int64), *(inst.indices for inst in instances)]),
+            np.concatenate([np.zeros(0), *(inst.values for inst in instances)]),
+            n_features, name)
+
+    @classmethod
+    def _from_csr(cls, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                  data: np.ndarray, n_features: int | None = None,
+                  name: str = "") -> "Dataset":
+        ds = cls.__new__(cls)
+        ds._set_arrays(labels, indptr, indices, data, n_features, name)
+        return ds
+
+    def _set_arrays(self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+                    data: np.ndarray, n_features: int | None, name: str) -> None:
+        if not labels.size:
             raise ValueError("empty dataset")
-        max_idx = max((int(inst.indices[-1]) for inst in instances if inst.nnz), default=-1)
+        bad = _first_invalid_row(labels, indptr, indices, data)
+        if bad is not None:
+            lo, hi = indptr[bad], indptr[bad + 1]
+            problem = (f"label {float(labels[bad])!r} is not +1 or -1"
+                       if abs(labels[bad]) != 1.0
+                       else _row_problem(indices[lo:hi], data[lo:hi]))
+            raise ValueError(f"instance {bad}: {problem}")
+        max_idx = int(indices.max()) if indices.size else -1
         if n_features is None:
             n_features = max_idx + 1
         elif n_features < max_idx + 1:
             raise ValueError("n_features smaller than largest feature index")
-        self.instances = instances
+        self.indptr, self.indices, self.data = indptr, indices, data
         self.n_features = int(n_features)
         self.name = name
-        self._labels: np.ndarray | None = None
-        self._norms_sq: np.ndarray | None = None
+        self._labels: np.ndarray | None = labels
         self._X: sp.csr_matrix | None = None
-        bad = np.flatnonzero(np.abs(self.labels) != 1.0)
-        if bad.size:
-            raise ValueError(f"instance {int(bad[0])}: label "
-                             f"{float(self.labels[bad[0]])!r} is not +1 or -1")
+        # Rows are made directly, skipping SparseInstance's per-row checks:
+        # the arrays were checked above.  norm_sq is each row's own dot
+        # product, which a vectorised sum does not reproduce to the bit.
+        new = object.__new__
+        rows: list[SparseInstance] = []
+        norms: list[float] = []
+        bounds = indptr.tolist()
+        for label, lo, hi in zip(labels.tolist(), bounds, bounds[1:]):
+            inst = new(SparseInstance)
+            inst.label = label
+            inst.indices = indices[lo:hi]
+            inst.values = values = data[lo:hi]
+            inst.norm_sq = norm_sq = float(values @ values)
+            rows.append(inst)
+            norms.append(norm_sq)
+        self.instances = rows
+        self._norms_sq = np.array(norms)
 
     def __len__(self) -> int:
         return len(self.instances)
 
-    def __iter__(self) -> Iterator[SparseInstance]:
-        return iter(self.instances)
+    def __reduce__(self):
+        return (Dataset._from_csr, (self.labels, self.indptr, self.indices, self.data,
+                                    self.n_features, self.name))
 
     @property
     def labels(self) -> np.ndarray:
@@ -109,59 +189,43 @@ class Dataset:
 
     @property
     def X(self) -> sp.csr_matrix:
-        """CSR design matrix, built lazily and cached."""
+        """CSR design matrix over ``data``, built on first use and cached."""
         if self._X is None:
-            indptr = np.zeros(len(self.instances) + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([inst.nnz for inst in self.instances])
-            indices = np.concatenate([inst.indices for inst in self.instances]) \
-                if indptr[-1] else np.zeros(0, dtype=np.int64)
-            data = np.concatenate([inst.values for inst in self.instances]) \
-                if indptr[-1] else np.zeros(0)
-            self._X = sp.csr_matrix((data, indices, indptr),
+            self._X = sp.csr_matrix((self.data, self.indices, self.indptr),
                                     shape=(len(self.instances), self.n_features))
         return self._X
 
     @property
     def norms_sq(self) -> np.ndarray:
-        if self._norms_sq is None:
-            self._norms_sq = np.array([inst.norm_sq for inst in self.instances])
+        """Each row's ``values @ values``, computed with the rows."""
         return self._norms_sq
 
 
-def _parse_line(line: str, lineno: int) -> SparseInstance | None:
-    text = line.split("#", 1)[0].strip()
-    if not text:
-        return None
-    parts = text.split()
+def _line_error(line: str, lineno: int) -> ParseError:
+    """The first problem on a line the reader rejected, worded as a ParseError."""
+    parts = line.split("#", 1)[0].split()
     try:
         label = float(parts[0])
     except ValueError:
-        raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
+        return ParseError(f"line {lineno}: bad label {parts[0]!r}")
     if label not in (1.0, -1.0):
-        raise ParseError(f"line {lineno}: label {parts[0]!r} is not +1 or -1")
-    idxs: list[int] = []
-    vals: list[float] = []
+        return ParseError(f"line {lineno}: label {parts[0]!r} is not +1 or -1")
     prev = 0
     for tok in parts[1:]:
-        pair = tok.split(":")
-        if len(pair) != 2:
-            raise ParseError(f"line {lineno}: bad feature token {tok!r}")
+        head, _, tail = tok.partition(":")
         try:
-            idx = int(pair[0])
-            val = float(pair[1])
+            idx, val = int(head), float(tail)
         except ValueError:
-            raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+            return ParseError(f"line {lineno}: bad feature token {tok!r}")
         if idx < 1:
-            raise ParseError(f"line {lineno}: feature index {idx} must be >= 1")
+            return ParseError(f"line {lineno}: feature index {idx} must be >= 1")
         if idx <= prev:
-            raise ParseError(f"line {lineno}: feature indices not increasing at {tok!r}")
-        if not np.isfinite(val):
-            raise ParseError(f"line {lineno}: non-finite value at {tok!r}")
+            return ParseError(f"line {lineno}: feature indices not increasing at {tok!r}")
+        if not math.isfinite(val):
+            return ParseError(f"line {lineno}: non-finite value at {tok!r}")
         prev = idx
-        idxs.append(idx - 1)  # 1-based on disk, 0-based in memory
-        vals.append(val)
-    return SparseInstance(label=label, indices=np.array(idxs, dtype=np.int64),
-                          values=np.array(vals))
+    # Only an index past the int64 range passes every check above.
+    return ParseError(f"line {lineno}: feature index out of range")
 
 
 def parse_libsvm(source: str | Iterable[str], name: str = "") -> Dataset:
@@ -170,16 +234,57 @@ def parse_libsvm(source: str | Iterable[str], name: str = "") -> Dataset:
     ``source`` is a string or an iterable of lines.  Raises ParseError with
     the offending line number on malformed input, including a label other
     than +1 or -1, and on empty input.
+
+    One pass appends every row to flat typed buffers, converting with
+    ``int`` and ``float``, which reject a malformed token.  The numeric
+    rules (label +1 or -1, index >= 1, indices strictly increasing, finite
+    values) are checked in bulk afterwards.  The first failure, in line
+    order, is worded by reading its line again.
     """
-    lines = io.StringIO(source) if isinstance(source, str) else source
-    instances: list[SparseInstance] = []
+    if isinstance(source, str):
+        lines: Iterable[str] = source.split("\n")
+    elif hasattr(source, "seek"):
+        lines = source          # a file: read again from the start to word an error
+    else:
+        lines = list(source)
+    labels, indices, data = array("d"), array("q"), array("d")
+    indptr, linenos = array("q", [0]), array("q")
+    stop = 0                    # the first line that failed to convert
     for lineno, line in enumerate(lines, start=1):
-        inst = _parse_line(line, lineno)
-        if inst is not None:
-            instances.append(inst)
-    if not instances:
-        raise ParseError("empty dataset")
-    return Dataset(instances, name=name)
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        feats = parts[1:]
+        try:
+            label = float(parts[0])
+            if feats:
+                # A token without exactly one colon leaves a tail that is
+                # empty or holds a colon, and float rejects both.
+                heads, _, tails = zip(*map(str.partition, feats, repeat(":")))
+                indices.extend(map(int, heads))
+                data.extend(map(float, tails))
+        except (ValueError, OverflowError):
+            stop = lineno
+            break
+        labels.append(label)
+        linenos.append(lineno)
+        indptr.append(len(indices))
+    lab = np.frombuffer(labels, dtype=np.float64)
+    ptr = np.frombuffer(indptr, dtype=np.int64)
+    ind = np.frombuffer(indices, dtype=np.int64)[:indptr[-1]]
+    ind -= 1                    # 1-based on disk, 0-based in memory
+    val = np.frombuffer(data, dtype=np.float64)[:indptr[-1]]
+    # Rows before a line that failed to convert may break a numeric rule.
+    bad = _first_invalid_row(lab, ptr, ind, val)
+    if bad is not None:
+        stop = linenos[bad]
+    if not stop:
+        if not lab.size:
+            raise ParseError("empty dataset")
+        return Dataset._from_csr(lab, ptr, ind, val, name=name)
+    if hasattr(lines, "seek"):
+        lines.seek(0)
+    raise _line_error(next(islice(lines, stop - 1, None)), stop)
 
 
 def load_libsvm(path: str | Path) -> Dataset:
@@ -196,10 +301,13 @@ def to_libsvm(dataset: Dataset) -> str:
     Values use shortest round-tripping decimal form, so
     parse(to_libsvm(parse(text))) reproduces labels, indices and values.
     """
+    indices = (dataset.indices + 1).tolist()
+    values = dataset.data.tolist()
+    bounds = dataset.indptr.tolist()
     out: list[str] = []
-    for inst in dataset.instances:
-        toks = [f"{inst.label:.17g}"]
-        toks += [f"{int(i) + 1}:{v:.17g}" for i, v in zip(inst.indices, inst.values)]
+    for label, lo, hi in zip(dataset.labels.tolist(), bounds, bounds[1:]):
+        toks = [f"{label:.17g}"]
+        toks += [f"{i}:{v:.17g}" for i, v in zip(indices[lo:hi], values[lo:hi])]
         out.append(" ".join(toks))
     return "\n".join(out) + "\n"
 
@@ -261,12 +369,8 @@ def synth_svm(N: int, dim: int, margin: float, flip_prob: float,
     shift = np.where(np.abs(s) < margin, side * margin - s, 0.0)
     pts += shift[:, None] * u
     labels = np.where(rng.random(N) < flip_prob, -side, side)
-    instances = [
-        SparseInstance(label=float(labels[i]),
-                       indices=np.arange(dim, dtype=np.int64),
-                       values=pts[i].astype(np.float64))
-        for i in range(N)
-    ]
-    return Dataset(instances, n_features=dim,
-                   name=f"synth_svm(N={N},dim={dim},margin={margin},"
-                        f"flip={flip_prob},seed={seed})")
+    return Dataset._from_csr(labels, np.arange(0, N * dim + 1, dim, dtype=np.int64),
+                             np.tile(np.arange(dim, dtype=np.int64), N), pts.ravel(),
+                             n_features=dim,
+                             name=f"synth_svm(N={N},dim={dim},margin={margin},"
+                                  f"flip={flip_prob},seed={seed})")

@@ -1,7 +1,7 @@
 """Projected stochastic subgradient SVM solver with shrinking batch policies.
 
 The base update is the classic 1/(lam*k) step on the mean-loss objective,
-followed by projection onto the ball of radius 1/sqrt(lam).  Four
+followed by projection onto the ball of radius 1/sqrt(lam).  Five
 interchangeable policies decide which arriving instances actually update
 the model:
 

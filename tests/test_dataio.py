@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ def test_parse_errors_carry_line_number():
         parse_libsvm("+1 1:abc")
     with pytest.raises(ParseError, match="line 3"):
         parse_libsvm("+1 1:1\n-1 1:1\n+1 0:1.0")
+    # indices past the int64 range
+    with pytest.raises(ParseError, match="line 2: feature index -9{20} must be >= 1"):
+        parse_libsvm("+1 1:1\n-1 -99999999999999999999:1")
+    with pytest.raises(ParseError, match="line 2: feature index out of range"):
+        parse_libsvm("+1 1:1\n-1 99999999999999999999:1")
 
 
 def test_parse_rejects_labels_other_than_plus_minus_one(tmp_path):
@@ -151,6 +158,96 @@ def test_csr_view_matches_instances():
     np.testing.assert_allclose(X[2], 0.0)
     np.testing.assert_allclose(ds.norms_sq, [1.25, 4.0, 0.0])
     assert ds.norms_sq is ds.norms_sq   # built once, like X and labels
+
+
+def test_dataset_arrays_are_checked_in_bulk():
+    good = dict(labels=np.array([1.0, -1.0, 1.0]), indptr=np.array([0, 2, 2, 4]),
+                indices=np.array([5, 9, 0, 1]), data=np.ones(4))
+    # row 2 starts below row 0's last index, and row 1 is empty: both fine
+    ds = Dataset._from_csr(**good)
+    assert ds.n_features == 10 and ds.instances[1].nnz == 0
+    assert [inst.indices.tolist() for inst in ds.instances] == [[5, 9], [], [0, 1]]
+    for change, msg in (
+            (dict(indices=np.array([5, 9, -1, 1])), "instance 2: feature indices must be >= 0"),
+            (dict(indices=np.array([5, 5, 0, 1])), "instance 0: feature indices must be strictly"),
+            (dict(indices=np.array([5, 9, 1, 0])), "instance 2: feature indices must be strictly"),
+            (dict(data=np.array([1.0, 1.0, 1.0, np.nan])), "instance 2: feature values must"),
+            (dict(labels=np.array([1.0, 0.0, 1.0])), "instance 1: label 0.0 is not")):
+        with pytest.raises(ValueError, match=msg):
+            Dataset._from_csr(**{**good, **change})
+
+
+def test_synth_svm_layout_matches_per_row_construction():
+    N, dim, margin, flip, seed = 300, 7, 0.3, 0.1, 11
+    # the generator's draws, written out, then one owned row object per point
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dim)
+    u /= np.linalg.norm(u)
+    pts = rng.standard_normal((N, dim)) / np.sqrt(dim)
+    s = pts @ u
+    side = np.where(s >= 0.0, 1.0, -1.0)
+    pts += np.where(np.abs(s) < margin, side * margin - s, 0.0)[:, None] * u
+    labels = np.where(rng.random(N) < flip, -side, side)
+    ref = [SparseInstance(float(labels[i]), np.arange(dim), pts[i].copy()) for i in range(N)]
+
+    ds = synth_svm(N, dim, margin=margin, flip_prob=flip, seed=seed)
+    assert ds.labels.tobytes() == labels.tobytes()
+    assert ds.norms_sq.tobytes() == np.array([r.norm_sq for r in ref]).tobytes()
+    X = ds.X
+    assert X.shape == (N, dim) and X.data.tobytes() == pts.tobytes()
+    assert X.indices.tolist() == list(range(dim)) * N
+    assert np.shares_memory(X.data, ds.data)
+    for inst, r in zip(ds.instances, ref):
+        assert type(inst.label) is float and inst.label == r.label
+        assert inst.indices.dtype == np.int64 and inst.indices.tobytes() == r.indices.tobytes()
+        assert inst.values.dtype == np.float64 and inst.values.tobytes() == r.values.tobytes()
+        assert type(inst.norm_sq) is float and inst.norm_sq == r.norm_sq
+        assert type(inst.nnz) is int and inst.nnz == dim
+        assert np.shares_memory(inst.values, ds.data)
+        assert np.shares_memory(inst.indices, ds.indices)
+
+    # labels follow the rows once the cached array is dropped
+    ds.instances[3].label = -ds.instances[3].label
+    ds._labels = None
+    assert ds.labels[3] == -labels[3]
+    assert np.array_equal(np.delete(ds.labels, 3), np.delete(labels, 3))
+
+
+def test_parsed_rows_are_views_of_the_arrays():
+    ds = parse_libsvm("+1 1:0.5 3:1.0\n-1\n+1 2:2.0\n")
+    assert ds.indptr.tolist() == [0, 2, 2, 3]
+    for inst in (ds.instances[0], ds.instances[2]):
+        assert np.shares_memory(inst.values, ds.data)
+        assert np.shares_memory(inst.indices, ds.indices)
+    assert np.shares_memory(ds.X.data, ds.data)
+
+
+def test_dataset_pickles_as_its_arrays():
+    ds = synth_svm(500, 8, margin=0.2, flip_prob=0.1, seed=2)
+    blob = pickle.dumps(ds)
+    arrays = ds.labels.nbytes + ds.indptr.nbytes + ds.indices.nbytes + ds.data.nbytes
+    assert len(blob) < arrays + 1024      # no per-row objects
+    back = pickle.loads(blob)
+    assert (back.name, back.n_features, len(back)) == (ds.name, ds.n_features, len(ds))
+    for name in ("labels", "indptr", "indices", "data", "norms_sq"):
+        a, b = getattr(ds, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for a, b in zip(ds.instances, back.instances):
+        assert (a.label, a.norm_sq) == (b.label, b.norm_sq)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert np.shares_memory(b.values, back.data)
+
+
+def test_to_libsvm_matches_per_row_formatting():
+    sets = [synth_svm(40, 5, margin=0.5, flip_prob=0.1, seed=4),
+            parse_libsvm("+1 1:-0 2:5e-324 9:-1.2345678901234567e150\n-1\n+1 3:0.1\n")]
+    for ds in sets:
+        lines = []
+        for inst in ds.instances:
+            toks = [f"{inst.label:.17g}"]
+            toks += [f"{int(i) + 1}:{v:.17g}" for i, v in zip(inst.indices, inst.values)]
+            lines.append(" ".join(toks))
+        assert to_libsvm(ds) == "\n".join(lines) + "\n"
 
 
 def test_synth_strongly_convex_single_centered_quadratic():

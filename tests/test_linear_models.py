@@ -106,7 +106,7 @@ def test_svm_objective_matches_naive_loop():
     for _ in range(10):
         m = _model(rng.standard_normal(8), C=0.37)
         naive = 0.5 * float(m.w @ m.w)
-        for inst in ds:
+        for inst in ds.instances:
             naive += m.C * hinge_loss(m, inst)
         assert svm_objective(m, ds) == pytest.approx(naive, rel=1e-10)
 
@@ -121,7 +121,7 @@ def test_mean_loss_form_is_scaled_sum_form():
         m = PrimalModel.zeros(5, lam, len(ds))
         m.w = rng.standard_normal(5)
         mean_form = 0.5 * lam * float(m.w @ m.w) + np.mean(
-            [hinge_loss(m, inst) for inst in ds])
+            [hinge_loss(m, inst) for inst in ds.instances])
         assert mean_form == pytest.approx(lam * svm_objective(m, ds), rel=1e-12)
 
 

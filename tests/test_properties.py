@@ -1,7 +1,10 @@
-"""Property tests of the assistant's scalar kernels against the numpy forms
-they must reproduce bit for bit."""
+"""Property tests against the reference forms the code must reproduce bit
+for bit: the assistant's scalar kernels against their numpy forms, and the
+bulk libsvm reader against a per-line reader."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import example, given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shrinkopt.autoassist import ThresholdPolicy  # noqa: E402
+from shrinkopt.dataio import (Dataset, ParseError, SparseInstance,  # noqa: E402
+                              parse_libsvm, to_libsvm)
 from shrinkopt.linear_models import sigmoid  # noqa: E402
 
 # Few distinct values, so windows are full of exact ties and zeros.
@@ -48,3 +53,156 @@ def test_sigmoid_matches_clipped_numpy_form(z):
     got = sigmoid(z)
     assert type(got) is float
     assert got == float(reference)
+
+
+def _reference_line(line: str, lineno: int):
+    """The per-line libsvm reader: (label, indices, values) or None."""
+    text = line.split("#", 1)[0].strip()
+    if not text:
+        return None
+    parts = text.split()
+    try:
+        label = float(parts[0])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad label {parts[0]!r}") from None
+    if label not in (1.0, -1.0):
+        raise ParseError(f"line {lineno}: label {parts[0]!r} is not +1 or -1")
+    idxs, vals, prev = [], [], 0
+    for tok in parts[1:]:
+        pair = tok.split(":")
+        if len(pair) != 2:
+            raise ParseError(f"line {lineno}: bad feature token {tok!r}")
+        try:
+            idx = int(pair[0])
+            val = float(pair[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad feature token {tok!r}") from None
+        if idx < 1:
+            raise ParseError(f"line {lineno}: feature index {idx} must be >= 1")
+        if idx <= prev:
+            raise ParseError(f"line {lineno}: feature indices not increasing at {tok!r}")
+        if not np.isfinite(val):
+            raise ParseError(f"line {lineno}: non-finite value at {tok!r}")
+        prev = idx
+        idxs.append(idx - 1)
+        vals.append(val)
+    return label, np.array(idxs, dtype=np.int64), np.array(vals)
+
+
+def _reference_parse(text: str):
+    rows = [r for n, line in enumerate(io.StringIO(text), start=1)
+            if (r := _reference_line(line, n)) is not None]
+    if not rows:
+        raise ParseError("empty dataset")
+    return rows
+
+
+_good_labels = st.sampled_from(["+1", "1", "1.0", "-1", "-1.0", "+1e0", "-1E0", "1.000"])
+_bad_labels = st.sampled_from(["0", "2", "0.5", "spam", "nan", "-inf", "+", "1:1"])
+_finite = st.floats(-1e150, 1e150)     # squares stay finite
+_value_text = st.one_of(_finite.map(repr), _finite.map(lambda v: f"{v:.6e}"),
+                        st.integers(-1000, 1000).map(str), st.just("-0"))
+_bad_tokens = st.sampled_from(["1:2:3", "a:1", "1:", ":1", ":", "x", "0:1", "-3:1",
+                               "5:nan", "5:inf", "5:1e400", "5:1", "2:1", "1_0:2"])
+
+
+@st.composite
+def _libsvm_lines(draw, n_bad: int):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "row", "row", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \r"])))
+            continue
+        if kind == "comment":
+            lines.append("# " + draw(st.text(alphabet="ab 1:#", max_size=8)))
+            continue
+        toks = [draw(_good_labels)]
+        toks += [f"{i}:{draw(_value_text)}"
+                 for i in sorted(draw(st.sets(st.integers(1, 60), max_size=8)))]
+        line = draw(st.sampled_from([" ", "\t", "  "])).join(toks)
+        if draw(st.booleans()):
+            line += draw(st.sampled_from(["#", " # 1:2 x", "\t#c"]))
+        lines.append(line)
+    for _ in range(n_bad if lines else 0):
+        at = draw(st.integers(0, len(lines) - 1))
+        toks = lines[at].split(" ") if lines[at].strip() else ["+1"]
+        if draw(st.booleans()):
+            toks[0] = draw(_bad_labels)
+        else:
+            toks.insert(draw(st.integers(1, len(toks))), draw(_bad_tokens))
+        lines[at] = " ".join(toks)
+    return lines
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _sources(lines: list[str]):
+    text = "\n".join(lines) + "\n"
+    return text, [text, [line + "\n" for line in lines], iter([line + "\n" for line in lines])]
+
+
+@given(_libsvm_lines(n_bad=0))
+@example(["# header", "+1 1:0.5 3:1e-3  # trailing", "", "-1", "1.0 2:-0 7:1e150"])
+def test_parse_matches_per_line_reader_on_valid_text(lines):
+    text, sources = _sources(lines)
+    try:
+        rows = _reference_parse(text)
+    except ParseError as exc:
+        for source in sources:
+            with pytest.raises(ParseError) as got:
+                parse_libsvm(source)
+            assert str(got.value) == str(exc)
+        return
+    for source in sources:
+        ds = parse_libsvm(source)
+        assert len(ds) == len(rows)
+        assert _same_array(ds.labels, np.array([r[0] for r in rows]))
+        assert _same_array(ds.indptr, np.cumsum([0] + [r[1].size for r in rows]))
+        assert _same_array(ds.indices, np.concatenate([r[1] for r in rows]))
+        assert _same_array(ds.data, np.concatenate([r[2] for r in rows]))
+        assert _same_array(ds.norms_sq, np.array([float(r[2] @ r[2]) for r in rows]))
+        for inst, (label, idx, vals) in zip(ds.instances, rows):
+            assert type(inst.label) is float and inst.label == label
+            assert _same_array(inst.indices, idx) and _same_array(inst.values, vals)
+            assert type(inst.norm_sq) is float and inst.norm_sq == float(vals @ vals)
+
+
+@given(_libsvm_lines(n_bad=1), st.integers(0, 2))
+@example(["+1 1:1", "+1 1:2:3 x", "spam"], 0)
+@example(["+1 1:1", "0 1:2:3"], 0)
+@example(["+1 3:1 2:1", "+1 1:x"], 0)
+@example(["-1 1:1 0:1 a"], 0)
+@example(["+1 5:nan 0:1"], 0)
+@example(["+1 1:1", "-1 1:1 2:1", "+1 2:1 1:1"], 2)
+def test_parse_raises_per_line_readers_error_on_invalid_text(lines, extra):
+    # ``extra`` corrupts more lines, so the first problem in line order counts
+    text, sources = _sources(lines + ["-1 2:1 1:1"] * extra)
+    try:
+        rows = _reference_parse(text)
+    except ParseError as exc:
+        for source in sources:
+            with pytest.raises(ParseError) as got:
+                parse_libsvm(source)
+            assert str(got.value) == str(exc)
+        return
+    assert len(parse_libsvm(text)) == len(rows)
+
+
+_rows = st.lists(st.tuples(st.sampled_from([1.0, -1.0]),
+                           st.dictionaries(st.integers(0, 50), _finite, max_size=6)),
+                 min_size=1, max_size=20)
+
+
+@given(_rows)
+@example([(1.0, {0: -0.0, 3: 5e-324}), (-1.0, {}), (1.0, {50: -1.2345678901234567e150})])
+def test_libsvm_round_trip_is_exact(rows):
+    ds = Dataset([SparseInstance(y, np.array(sorted(f), dtype=np.int64),
+                                 np.array([f[i] for i in sorted(f)], dtype=np.float64))
+                  for y, f in rows])
+    back = parse_libsvm(to_libsvm(ds))
+    for name in ("labels", "indptr", "indices", "data", "norms_sq"):
+        assert _same_array(getattr(back, name), getattr(ds, name)), name
+    assert back.n_features == ds.n_features
