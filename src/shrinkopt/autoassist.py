@@ -38,6 +38,9 @@ from .linear_models import (
 from .primal_sgd import pegasos_step
 
 STARVATION_FACTOR = 100
+# run_async gives up on its workers once no boss step has completed for this
+# many seconds.
+STALL_TIMEOUT_S = 60.0
 
 METRIC_KEYS = ("step", "model_version", "objective", "acceptance_rate",
                "boss_idle_s", "assistant_idle_s", "q_boss_occupancy",
@@ -592,7 +595,10 @@ def run_async(boss, assistant: AssistantModel,
     up (training on loss reports otherwise), the boss worker consumes
     batches and pushes reports back.  Models are never shared; only
     messages cross between the threads.  A worker exception stops both
-    sides and is reported on the result with partial metrics kept."""
+    sides and is reported on the result with partial metrics kept.  So is
+    a stall: when no boss step completes for STALL_TIMEOUT_S, the driver
+    shuts the channels and returns without waiting on the stuck worker
+    (both run as daemon threads)."""
     stream_rng, accept_rng = _pipeline_rngs(config.seed)
     ctx = _AssistantCtx(
         config=config, assistant=assistant, instances=_instances_of(boss),
@@ -656,13 +662,25 @@ def run_async(boss, assistant: AssistantModel,
         finally:
             shut_down()
 
-    threads = [threading.Thread(target=assistant_worker, name="assistant"),
-               threading.Thread(target=boss_worker, name="boss")]
+    threads = [threading.Thread(target=assistant_worker, name="assistant", daemon=True),
+               threading.Thread(target=boss_worker, name="boss", daemon=True)]
     t0 = time.perf_counter()
     for th in threads:
         th.start()
+    # Join in slices; between them, check that the boss is still stepping.
+    slice_s = max(config.get_timeout_s, STALL_TIMEOUT_S / 100)
+    seen, since, stalled = 0, t0, False
     for th in threads:
-        th.join()
+        while th.is_alive() and not stalled:
+            th.join(slice_s)
+            now = time.perf_counter()
+            if done["steps"] != seen:
+                seen, since = done["steps"], now
+            stalled = th.is_alive() and now - since > STALL_TIMEOUT_S
+    if stalled:
+        failures.append(f"stalled: no boss step completed in {STALL_TIMEOUT_S:g} s "
+                        f"(after {seen} steps)")
+        shut_down()
     elapsed = time.perf_counter() - t0
     return PipelineResult(
         boss=boss, assistant=assistant, metrics=metrics, stats=ctx.stats,

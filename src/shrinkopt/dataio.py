@@ -327,8 +327,8 @@ def synth_strongly_convex(N: int, dim: int, mu: float, spread: float,
     """Finite sum of quadratics F(w) = (1/N) sum_i (mu/2)||w - c_i||^2.
 
     Centers are drawn uniformly in the ball of radius ``spread``; the
-    minimizer is the center mean and the certified constants (mu, G, D, M)
-    come in closed form: D = spread, G = mu*(D + max_i ||c_i||), M = mu.
+    minimizer is the center mean and the certified constants (mu, G, D)
+    come in closed form: D = spread, G = mu*(D + max_i ||c_i||).
     """
     if N < 1 or dim < 1:
         raise ValueError("N and dim must be >= 1")

@@ -42,16 +42,13 @@ from .autoassist import (
 from .dataio import Dataset, load_libsvm, synth_strongly_convex, synth_svm
 from .dual_cd import solve as dual_solve
 from .linear_models import svm_objective
-from .primal_sgd import (IS, POLICY_KINDS, SK, SK_BS, THEOREM, BatchPolicy,
+from .primal_sgd import (IS, POLICY_KINDS, SK, SK_BS, BatchPolicy,
                          epoch_eval_schedule, run_sgd)
 from .theorem_harness import TheoremRunConfig, run_certification
 
 WORKERS_ENV = "SHRINKOPT_WORKERS"
 
 CURVE_HEADER = "policy,seed,n_updates,n_evals,elapsed_s,objective"
-
-# The policies a run may race; the theorem gate belongs to the harness.
-RACE_POLICIES = tuple(k for k in POLICY_KINDS if k != THEOREM)
 
 
 class ConfigError(Exception):
@@ -379,10 +376,10 @@ def _run_svm_primal(cfg, out_dir: Path):
     if not names:
         raise ConfigError("key 'policies': at least one policy is required")
     for nm in names:
-        if nm not in RACE_POLICIES:
+        if nm not in POLICY_KINDS:
             raise ConfigError(
                 f"key 'policies': unknown policy {nm!r} "
-                f"(choose from {', '.join(RACE_POLICIES)})")
+                f"(choose from {', '.join(POLICY_KINDS)})")
     schedule = epoch_eval_schedule(n, n_epochs, get_int(cfg, "points_per_epoch", lo=1))
 
     # The dual solver pins the target objective all policies race toward.
@@ -802,6 +799,20 @@ def certification_failures(report: dict, slope_min: float,
     return failures
 
 
+def _skip_summary(report: dict) -> str:
+    """The gated chain's overall skip fraction and the last decade of steps
+    in which it skipped at all, read off the per-decade skip rates."""
+    rates = report["skip_rate_per_decade"]
+    spans = {}
+    for decade in rates:
+        lo, hi = decade.split("-")
+        spans[decade] = int(hi) - int(lo) + 1
+    overall = sum(rates[d] * spans[d] for d in rates) / sum(spans.values())
+    last = [d for d, r in rates.items() if r > 0.0]
+    return (f"gated chain skipped {overall:.3%} of steps, "
+            f"last in steps {last[-1] if last else 'none'}")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -865,10 +876,11 @@ def main(argv=None) -> int:
         if failures:
             for f in failures:
                 print(f"FAIL: {f}")
+            print(_skip_summary(report))
             return 3
         print(f"certification passed: slope {report['slope_last_decade']:.3f}, "
               f"no bound violations beyond 3 SE "
-              f"(L = {report['constants']['L']:.6g})")
+              f"(L = {report['constants']['L']:.6g}); {_skip_summary(report)}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -85,17 +85,16 @@ class ComponentProblem:
     """Finite sum F(w) = (1/N) sum_i f_i(w) of quadratics f_i(w) =
     (mu/2)||w - c_i||^2 with certified constants.
 
-    mu is the strong-convexity modulus, D the radius of the admissible ball
-    containing the minimizer, G a bound on ||grad f_i(w)|| over that ball
-    (analytic for this family: mu*(D + max_i ||c_i||)), M the smoothness
-    constant (mu for quadratics).
+    mu is the strong-convexity modulus (and, for quadratics, the smoothness
+    constant too), D the radius of the admissible ball containing the
+    minimizer, G a bound on ||grad f_i(w)|| over that ball (analytic for
+    this family: mu*(D + max_i ||c_i||)).
     """
 
     centers: np.ndarray
     mu: float
     D: float
     G: float
-    M: float
     _w_star: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -118,7 +117,7 @@ class ComponentProblem:
             if D < mean_norm:
                 raise ValueError("D too small to contain the minimizer")
         G = mu * (D + max_c)
-        return cls(centers=centers, mu=mu, D=float(D), G=G, M=mu)
+        return cls(centers=centers, mu=mu, D=float(D), G=G)
 
     @property
     def n(self) -> int:
@@ -142,9 +141,6 @@ class ComponentProblem:
     def value(self, w: np.ndarray) -> float:
         d = w[None, :] - self.centers
         return 0.5 * self.mu * float(np.mean(np.einsum("ij,ij->i", d, d)))
-
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        return self.mu * (w - self._w_star)
 
     def value_star(self) -> float:
         return self.value(self._w_star)

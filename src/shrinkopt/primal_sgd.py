@@ -1,7 +1,7 @@
 """Projected stochastic subgradient SVM solver with shrinking batch policies.
 
 The base update is the classic 1/(lam*k) step on the mean-loss objective,
-followed by projection onto the ball of radius 1/sqrt(lam).  Five
+followed by projection onto the ball of radius 1/sqrt(lam).  Four
 interchangeable policies decide which arriving instances actually update
 the model:
 
@@ -14,9 +14,7 @@ the model:
     is      importance sampling: arrivals are drawn from a pre-sampled
             chunk with probability proportional to loss-gradient norm and
             the update is inverse-probability weighted to stay unbiased
-            for the chunk mean;
-    theorem every arrival with loss-gradient norm at most grad_bound/k is
-            skipped, the decaying gate used by the convergence harness.
+            for the chunk mean.
 
 The step counter k advances only on performed updates, so shrinking both
 saves updates and keeps step sizes larger for longer.  A CostLedger tracks
@@ -41,9 +39,8 @@ PLAIN = "plain"
 SK = "sk"
 SK_BS = "sk_bs"
 IS = "is"
-THEOREM = "theorem"
 
-POLICY_KINDS = (PLAIN, SK, SK_BS, IS, THEOREM)
+POLICY_KINDS = (PLAIN, SK, SK_BS, IS)
 CRITERIA = ("loss", "grad_norm")
 
 DEFAULT_FLOOR_PROB = 0.1
@@ -59,8 +56,7 @@ class PolicyError(ValueError):
 class BatchPolicy:
     """Batch-selection rule plus the mutable state it needs mid-run.
 
-    threshold is T for sk/sk_bs and the gradient bound for the theorem
-    kind (whose gate at step k is threshold/k).  Importance sampling keeps
+    threshold is T for sk/sk_bs.  Importance sampling keeps
     a uniformly pre-sampled chunk of instance indices, probabilities over
     the chunk refreshed every refresh_period updates, and the running
     update count since the last refresh.
@@ -89,16 +85,13 @@ class BatchPolicy:
             raise ValueError("threshold must be >= 0")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.kind == THEOREM:
-            self.criterion = "grad_norm"
 
     @property
     def effective_refresh_period(self) -> int:
         return self.chunk_size if self.refresh_period is None else self.refresh_period
 
     def label(self) -> str:
-        return {PLAIN: "Plain", SK: "SK", SK_BS: "SK_BS", IS: "IS",
-                THEOREM: "TheoremMode"}[self.kind]
+        return {PLAIN: "Plain", SK: "SK", SK_BS: "SK_BS", IS: "IS"}[self.kind]
 
 
 @dataclass
@@ -165,21 +158,18 @@ def criterion_value(policy: BatchPolicy, model: PrimalModel, inst: SparseInstanc
 
 
 def shrink_decide(policy: BatchPolicy, model: PrimalModel, inst: SparseInstance,
-                  k: int, rng: np.random.Generator,
+                  rng: np.random.Generator,
                   ledger: CostLedger | None = None) -> bool:
     """Keep (True) or skip (False) one arriving instance; counts one eval.
 
     sk keeps iff value >= T.  sk_bs keeps above-threshold arrivals and
-    otherwise keeps with probability max(floor_prob, value/T).  theorem
-    keeps iff the gradient norm exceeds threshold/k.
+    otherwise keeps with probability max(floor_prob, value/T).
     """
-    if policy.kind not in (SK, SK_BS, THEOREM):
+    if policy.kind not in (SK, SK_BS):
         raise PolicyError(f"shrink_decide not defined for policy {policy.kind!r}")
     if ledger is not None:
         ledger.n_evals += 1
     value = criterion_value(policy, model, inst)
-    if policy.kind == THEOREM:
-        return value > policy.threshold / k
     keep = value >= policy.threshold
     if not keep and policy.kind == SK_BS:
         keep = bool(rng.random() < max(policy.floor_prob, value / policy.threshold))
@@ -300,7 +290,7 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
         ledger.elapsed += time.perf_counter() - work_start
         return model, ledger, curve
 
-    decide = policy.kind in (SK, SK_BS, THEOREM)
+    decide = policy.kind in (SK, SK_BS)
     arrival = 0
     work_start = time.perf_counter()
     for _ in range(n_epochs):
@@ -308,8 +298,7 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
             arrival += 1
             inst = dataset.instances[i]
             if decide:
-                keep = shrink_decide(policy, model, inst, ledger.n_updates + 1,
-                                     rng, ledger)
+                keep = shrink_decide(policy, model, inst, rng, ledger)
             else:
                 ledger.n_evals += 1
                 keep = True

@@ -8,11 +8,14 @@ to the minimizer must stay below L/k with
 
     L = max(4 D^2, G^2/mu^2 + 4 D G / mu).
 
-The harness runs two chains, gated and ungated, on identical index
-streams and reports averaged error curves, bound violations, the log-log
-slope over the last decade of steps, and per-decade skip rates.  A gate on
-the component loss instead, f_i(w) - f_i* <= G^2/(2 mu k^2), would be the
-same gate: for these quadratics f_i(w) - f_i* = ||grad f_i(w)||^2/(2 mu).
+The harness advances two chains, gated and ungated, for every seed in one
+lock step: one (2, n_seeds, dim) array of iterates, one shared gather of
+the sampled centers per step, and a step of 0 for every dropped gradient.
+It reports averaged error curves, bound violations, the log-log slope over
+the last decade of steps, and per-decade skip rates of the gated chain.
+A gate on the component loss instead, f_i(w) - f_i* <= G^2/(2 mu k^2),
+would be the same gate: for these quadratics
+f_i(w) - f_i* = ||grad f_i(w)||^2/(2 mu).
 """
 
 from __future__ import annotations
@@ -67,45 +70,53 @@ def uniform_ball(dim: int, radius: float, rng: np.random.Generator,
     return (x / norms * r).reshape(shape)
 
 
-def _project_rows(W: np.ndarray, radius: float) -> np.ndarray:
-    norms = np.linalg.norm(W, axis=1)
-    over = norms > radius
-    if np.any(over):
-        W[over] *= (radius / norms[over])[:, None]
-    return W
+def _run_chains(problem: ComponentProblem, idx: np.ndarray, W0: np.ndarray,
+                record_ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the gated and the ungated chain of every seed in one lock step:
+    projected SGD with step 1/(mu*k), where the gated chain drops every
+    sampled gradient of norm at most G/k.
 
+    idx is (n_steps, n_seeds) of component indices, shared by both chains;
+    W0 is (n_seeds, dim).  The iterates live in one (2, n_seeds, dim) array,
+    axis 0 = (gated, ungated).  Returns (errors, skips): errors is
+    (2, n_points, n_seeds) squared distance to w* at each recorded k
+    (pre-step iterate), skips is (n_steps,) skipped seeds of the gated chain
+    per step.
 
-def _run_batch(problem: ComponentProblem, idx: np.ndarray, W0: np.ndarray,
-               shrink: bool, record_ks: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance all seeds in lock step: projected SGD with step 1/(mu*k),
-    where shrink drops every sampled gradient of norm at most G/k.
-
-    idx is (n_seeds, n_steps) of component indices, W0 is (n_seeds, dim).
-    Returns (errors, skips): errors is (n_points, n_seeds) squared distance
-    to w* at each recorded k (pre-step iterate), skips is (n_steps,) total
-    skipped seeds per step.
+    A dropped gradient gets step 0 instead of being masked out, and the
+    ungated row's keep mask is always true: x*1.0 and x-0.0 are exact, so
+    both chains match stepping each one on its own bit for bit.  Norms use
+    np.linalg.norm's own formula, so every projection decision matches too.
     """
-    W = W0.copy()
     mu, G, D = problem.mu, problem.G, problem.D
-    w_star = problem.w_star
-    n_steps = idx.shape[1]
-    errors = np.empty((len(record_ks), W.shape[0]))
-    skips = np.zeros(n_steps, dtype=np.int64)
+    centers, w_star = problem.centers, problem.w_star
+    n_steps, n_seeds = idx.shape
+    W = np.stack([W0, W0])
+    g = np.empty_like(W)
+    sq = np.empty_like(W)
+    norms = np.empty((2, n_seeds))
+    over = np.empty((2, n_seeds), dtype=bool)
+    keep = np.ones((2, n_seeds), dtype=bool)
+    step = np.empty((2, n_seeds))
+    kept = np.empty((n_steps, n_seeds), dtype=bool)
+    errors = np.empty((2, len(record_ks), n_seeds))
     rec = {int(k): j for j, k in enumerate(record_ks)}
     for k in range(1, n_steps + 1):
         if k in rec:
             diff = W - w_star
-            errors[rec[k]] = np.einsum("sd,sd->s", diff, diff)
-        g = mu * (W - problem.centers[idx[:, k - 1]])
-        if shrink:
-            keep = np.einsum("sd,sd->s", g, g) > (G / k) ** 2
-        else:
-            keep = np.ones(W.shape[0], dtype=bool)
-        skips[k - 1] = int(W.shape[0] - keep.sum())
-        W[keep] -= (1.0 / (mu * k)) * g[keep]
-        _project_rows(W, D)
-    return errors, skips
+            errors[:, rec[k]] = np.einsum("csd,csd->cs", diff, diff)
+        np.subtract(W, centers[idx[k - 1]], out=g)
+        np.multiply(g, mu, out=g)
+        np.greater(np.einsum("sd,sd->s", g[0], g[0]), (G / k) ** 2, out=keep[0])
+        kept[k - 1] = keep[0]
+        np.multiply(keep, 1.0 / (mu * k), out=step)
+        np.multiply(g, step[..., None], out=g)
+        np.subtract(W, g, out=W)
+        np.multiply(W, W, out=sq)
+        np.sqrt(np.add.reduce(sq, axis=2, out=norms), out=norms)
+        if np.greater(norms, D, out=over).any():
+            W[over] *= (D / norms[over])[:, None]
+    return errors, n_seeds - kept.sum(axis=1)
 
 
 def _decade_rates(skips: np.ndarray, n_seeds: int) -> dict[str, float]:
@@ -130,8 +141,8 @@ def _last_decade_slope(ks: np.ndarray, avg_err: np.ndarray) -> float:
 
 
 def run_certification(config: TheoremRunConfig) -> dict:
-    """Run the gated and ungated chains on shared index streams and certify
-    the configured one against the L/k envelope."""
+    """Run the gated and ungated chains in one lock step on shared index
+    streams and certify the configured one against the L/k envelope."""
     problem = config.problem
     L = bound_constant(problem)
     n_steps, n_seeds = config.n_steps, config.n_seeds
@@ -140,15 +151,14 @@ def run_certification(config: TheoremRunConfig) -> dict:
     record_ks = np.asarray(ks, dtype=np.int64)
 
     seeds = np.random.SeedSequence(config.seed).spawn(n_seeds)
-    idx = np.empty((n_seeds, n_steps), dtype=np.int64)
+    idx = np.empty((n_steps, n_seeds), dtype=np.int64)
     W0 = np.empty((n_seeds, problem.dim))
     for s, ss in enumerate(seeds):
         rng = np.random.default_rng(ss)
         W0[s] = uniform_ball(problem.dim, problem.D, rng)
-        idx[s] = rng.integers(problem.n, size=n_steps)
+        idx[:, s] = rng.integers(problem.n, size=n_steps)
 
-    err_shrunk, skips = _run_batch(problem, idx, W0, True, record_ks)
-    err_plain, _ = _run_batch(problem, idx, W0, False, record_ks)
+    (err_shrunk, err_plain), skips = _run_chains(problem, idx, W0, record_ks)
 
     certified = err_shrunk if config.mode == "shrunk" else err_plain
     avg = certified.mean(axis=1)

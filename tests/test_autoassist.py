@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -530,3 +531,30 @@ def test_async_worker_exception_reported():
                   _small_cfg(n_boss_steps=50))
     assert r.failure is not None and "RuntimeError" in r.failure
     assert r.steps_done < 50
+
+
+def test_async_stalled_boss_reported(monkeypatch):
+    # a boss whose update never returns on its own: the driver must give up
+    # within the stall timeout and name the stall, not hang in join()
+    monkeypatch.setattr(autoassist, "STALL_TIMEOUT_S", 0.5)
+    release = threading.Event()
+
+    class Stuck(QuadraticBoss):
+        def update(self, indices):
+            release.wait()
+            super().update(indices)
+
+    prob = ComponentProblem.from_centers(np.random.default_rng(0).normal(size=(20, 3)), mu=1.0)
+    before = set(threading.enumerate())
+    t0 = time.perf_counter()
+    r = run_async(Stuck(prob), AssistantModel.zeros(3, gamma=0.5),
+                  _small_cfg(n_boss_steps=50))
+    elapsed = time.perf_counter() - t0
+    workers = set(threading.enumerate()) - before
+    release.set()
+    for th in workers:
+        th.join(timeout=5.0)
+        assert not th.is_alive()
+    assert elapsed < 2.0
+    assert r.failure is not None and "stalled" in r.failure
+    assert r.steps_done == 0

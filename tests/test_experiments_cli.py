@@ -254,6 +254,14 @@ def test_certify_theorem_cli_pass(tmp_path, capsys):
     report = json.loads((tmp_path / "cert" / "certification.json").read_text())
     assert report["violation_fraction_3se"] == 0.0
     assert -1.3 <= report["slope_last_decade"] <= -0.7
+    # the verdict line names the gated chain's skip fraction over all steps
+    # and the last decade in which it skipped at all
+    rates = report["skip_rate_per_decade"]
+    skipped = rates["1-9"] * 9 + rates["10-99"] * 90 + rates["100-999"] * 900 \
+        + rates["1000-9999"] * 9000 + rates["10000-10000"]
+    last = max((d for d, r in rates.items() if r > 0), key=lambda d: int(d.split("-")[0]))
+    assert f"skipped {skipped / 10_000:.3%} of steps" in out
+    assert f"last in steps {last}" in out
 
 
 def test_certify_theorem_cli_gate_failure(tmp_path, capsys):

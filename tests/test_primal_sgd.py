@@ -33,9 +33,6 @@ def test_policy_validation():
         BatchPolicy(kind="sk", threshold=-1.0)
     with pytest.raises(ValueError):
         BatchPolicy(kind="is", chunk_size=0)
-    # the decaying-gate kind always scores by gradient norm
-    pol = BatchPolicy(kind="theorem", threshold=2.0, criterion="loss")
-    assert pol.criterion == "grad_norm"
     assert BatchPolicy(kind="is").effective_refresh_period == 4096
     assert BatchPolicy(kind="is", chunk_size=64).effective_refresh_period == 64
     assert BatchPolicy(kind="is", refresh_period=7).effective_refresh_period == 7
@@ -43,8 +40,8 @@ def test_policy_validation():
 
 def test_policy_labels():
     labels = [BatchPolicy(kind=k).label()
-              for k in ("plain", "sk", "sk_bs", "is", "theorem")]
-    assert labels == ["Plain", "SK", "SK_BS", "IS", "TheoremMode"]
+              for k in ("plain", "sk", "sk_bs", "is")]
+    assert labels == ["Plain", "SK", "SK_BS", "IS"]
 
 
 def test_step_size_formula_via_pure_shrink():
@@ -134,12 +131,12 @@ def test_shrink_decide_sk_threshold():
     pol = BatchPolicy(kind="sk", threshold=1.0)
     # loss 0.5 -> skip; loss 1.5 -> keep
     assert not shrink_decide(pol, PrimalModel(w=np.array([0.5]), lam=1, C=1),
-                             x, 1, rng, led)
+                             x, rng, led)
     assert shrink_decide(pol, PrimalModel(w=np.array([-0.5]), lam=1, C=1),
-                         x, 1, rng, led)
+                         x, rng, led)
     # boundary: value exactly T keeps
     assert shrink_decide(pol, PrimalModel(w=np.array([0.0]), lam=1, C=1),
-                         x, 1, rng, led)
+                         x, rng, led)
     assert led.n_evals == 3
 
 
@@ -148,7 +145,7 @@ def test_shrink_decide_wrong_kind():
     m = PrimalModel(w=np.zeros(1), lam=1, C=1)
     for kind in ("plain", "is"):
         with pytest.raises(PolicyError):
-            shrink_decide(BatchPolicy(kind=kind), m, _inst([0], [1.0]), 1, rng)
+            shrink_decide(BatchPolicy(kind=kind), m, _inst([0], [1.0]), rng)
 
 
 def test_sk_bs_floor_rate_monte_carlo():
@@ -159,7 +156,7 @@ def test_sk_bs_floor_rate_monte_carlo():
     rng = np.random.default_rng(123)
     led = CostLedger()
     n = 10_000
-    keeps = sum(shrink_decide(pol, m, x, 1, rng, led) for _ in range(n))
+    keeps = sum(shrink_decide(pol, m, x, rng, led) for _ in range(n))
     assert abs(keeps / n - 0.1) < 0.01
     assert led.n_evals == n
 
@@ -171,18 +168,8 @@ def test_sk_bs_value_proportional_acceptance():
     x = _inst([0], [1.0])  # loss 0.46
     rng = np.random.default_rng(5)
     n = 20_000
-    keeps = sum(shrink_decide(pol, m, x, 1, rng) for _ in range(n))
+    keeps = sum(shrink_decide(pol, m, x, rng) for _ in range(n))
     assert abs(keeps / n - 0.46) < 0.01
-
-
-def test_theorem_gate_is_strict_and_decaying():
-    pol = BatchPolicy(kind="theorem", threshold=2.0)
-    m = PrimalModel(w=np.zeros(1), lam=1, C=1)
-    x = _inst([0], [1.0])  # active at w=0, grad norm 1
-    rng = np.random.default_rng(0)
-    assert not shrink_decide(pol, m, x, 1, rng)   # 1 > 2/1 false
-    assert not shrink_decide(pol, m, x, 2, rng)   # 1 > 2/2 false (strict)
-    assert shrink_decide(pol, m, x, 3, rng)       # 1 > 2/3 true
 
 
 def test_refresh_weights_normalization():

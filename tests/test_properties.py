@@ -1,6 +1,7 @@
 """Property tests against the reference forms the code must reproduce bit
-for bit: the assistant's scalar kernels against their numpy forms, and the
-bulk libsvm reader against a per-line reader."""
+for bit: the assistant's scalar kernels against their numpy forms, the
+bulk libsvm reader against a per-line reader, and the lock-step
+certification kernel against one chain stepped at a time."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st  # noqa: E402
 from shrinkopt.autoassist import ThresholdPolicy  # noqa: E402
 from shrinkopt.dataio import (Dataset, ParseError, SparseInstance,  # noqa: E402
                               parse_libsvm, to_libsvm)
-from shrinkopt.linear_models import sigmoid  # noqa: E402
+from shrinkopt.linear_models import ComponentProblem, sigmoid  # noqa: E402
+from shrinkopt.theorem_harness import _run_chains, uniform_ball  # noqa: E402
 
 # Few distinct values, so windows are full of exact ties and zeros.
 _losses = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0, 2.0]),
@@ -206,3 +208,68 @@ def test_libsvm_round_trip_is_exact(rows):
     for name in ("labels", "indptr", "indices", "data", "norms_sq"):
         assert _same_array(getattr(back, name), getattr(ds, name)), name
     assert back.n_features == ds.n_features
+
+
+def _reference_chain(problem, idx, W0, shrink, record_ks):
+    """One chain stepped on its own, the way the harness used to: the kept
+    rows take a masked step, then rows past D are scaled back onto the ball."""
+    W = W0.copy()
+    mu, G, D = problem.mu, problem.G, problem.D
+    errors = np.empty((len(record_ks), W.shape[0]))
+    skips = np.zeros(idx.shape[0], dtype=np.int64)
+    rec = {int(k): j for j, k in enumerate(record_ks)}
+    for k in range(1, idx.shape[0] + 1):
+        if k in rec:
+            diff = W - problem.w_star
+            errors[rec[k]] = np.einsum("sd,sd->s", diff, diff)
+        g = mu * (W - problem.centers[idx[k - 1]])
+        if shrink:
+            keep = np.einsum("sd,sd->s", g, g) > (G / k) ** 2
+        else:
+            keep = np.ones(W.shape[0], dtype=bool)
+        skips[k - 1] = int(W.shape[0] - keep.sum())
+        W[keep] -= (1.0 / (mu * k)) * g[keep]
+        norms = np.linalg.norm(W, axis=1)
+        over = norms > D
+        if np.any(over):
+            W[over] *= (D / norms[over])[:, None]
+    return errors, skips
+
+
+@given(n=st.integers(1, 6), dim=st.integers(1, 4), n_seeds=st.integers(1, 5),
+       n_steps=st.integers(1, 40), lattice=st.booleans(),
+       mu=st.sampled_from([0.5, 1.0, 2.0, 3.7]), frac=st.floats(0.0, 1.0),
+       record=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, dim=1, n_seeds=1, n_steps=3, lattice=True, mu=1.0, frac=0.0,
+         record=[1, 2, 3], seed=0)
+@example(n=5, dim=3, n_seeds=1, n_steps=40, lattice=False, mu=2.0, frac=0.3,
+         record=[1, 40], seed=1)
+def test_lock_step_chains_match_one_chain_at_a_time(n, dim, n_seeds, n_steps,
+                                                    lattice, mu, frac, record, seed):
+    rng = np.random.default_rng(seed)
+    if lattice:
+        # integer points on a line: gradient norms hit G/k exactly at times
+        centers = rng.integers(-3, 4, size=(n, 1)).astype(float)
+    else:
+        centers = rng.standard_normal((n, dim)) * rng.choice([0.1, 1.0, 10.0])
+    norms = np.linalg.norm(centers, axis=1)
+    lo, hi = float(np.linalg.norm(centers.mean(axis=0))), float(norms.max())
+    # D between the minimizer's norm and the largest center norm, so that
+    # steps toward far centers leave the ball and the projection fires
+    D = float(np.ceil(lo)) if lattice else lo + frac * (hi - lo)
+    prob = ComponentProblem.from_centers(centers, mu=mu, D=D)
+    if lattice:
+        W0 = rng.integers(-int(D), int(D) + 1, size=(n_seeds, 1)).astype(float)
+    else:
+        W0 = uniform_ball(prob.dim, D, rng, size=n_seeds)
+    idx = rng.integers(n, size=(n_steps, n_seeds))
+    ks = np.asarray(sorted({min(k, n_steps) for k in record}), dtype=np.int64)
+
+    errors, skips = _run_chains(prob, idx, W0, ks)
+    assert errors.shape == (2, len(ks), n_seeds)
+    for chain, shrink in enumerate((True, False)):
+        ref_errors, ref_skips = _reference_chain(prob, idx, W0, shrink, ks)
+        assert errors[chain].tobytes() == ref_errors.tobytes()
+        if shrink:
+            assert skips.tolist() == ref_skips.tolist()

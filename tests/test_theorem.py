@@ -7,7 +7,7 @@ import pytest
 
 from shrinkopt.dataio import synth_strongly_convex
 from shrinkopt.linear_models import ComponentProblem
-from shrinkopt.theorem_harness import (TheoremRunConfig, _run_batch,
+from shrinkopt.theorem_harness import (TheoremRunConfig, _run_chains,
                                        bound_constant, run_certification,
                                        uniform_ball)
 
@@ -29,11 +29,11 @@ def cert_report(small_problem):
 
 
 def test_bound_constant_examples():
-    p = ComponentProblem(centers=np.zeros((1, 2)), mu=1.0, D=1.0, G=1.0, M=1.0)
+    p = ComponentProblem(centers=np.zeros((1, 2)), mu=1.0, D=1.0, G=1.0)
     assert bound_constant(p) == 5.0
     # large mu leaves only the 4 D^2 branch
     p_big = ComponentProblem(centers=np.zeros((1, 2)), mu=1000.0,
-                             D=1.0, G=1.0, M=1000.0)
+                             D=1.0, G=1.0)
     assert bound_constant(p_big) == 4.0
 
 
@@ -63,22 +63,30 @@ def test_gate_always_skips_at_k_one(small_problem):
     prob = small_problem
     rng = np.random.default_rng(0)
     W0 = uniform_ball(prob.dim, prob.D, rng, size=20)
-    idx = rng.integers(prob.n, size=(20, 2))
-    errors, skips = _run_batch(prob, idx, W0, True, _ks(1, 2))
+    idx = rng.integers(prob.n, size=(2, 20))
+    errors, skips = _run_chains(prob, idx, W0, _ks(1, 2))
     assert skips[0] == 20
-    np.testing.assert_array_equal(errors[1], errors[0])
+    np.testing.assert_array_equal(errors[0, 1], errors[0, 0])
+    # the gate is strict: a gradient of norm exactly G is dropped too.  With
+    # centers 2 and -1 and D = 1, G = 3 and w = -1 is exactly 3 from c_0
+    edge = ComponentProblem.from_centers(np.array([[2.0], [-1.0]]), mu=1.0, D=1.0)
+    assert edge.G == 3.0
+    errors, skips = _run_chains(edge, np.zeros((2, 1), dtype=np.int64),
+                                np.array([[-1.0]]), _ks(1, 2))
+    assert skips[0] == 1
+    assert errors[0, 1, 0] == errors[0, 0, 0]
+    assert errors[1, 1, 0] != errors[1, 0, 0]
 
 
 def test_minimizer_is_fixed_point():
     prob = synth_strongly_convex(1, 4, mu=2.0, spread=1.5, seed=3)
     W0 = np.tile(prob.w_star, (3, 1))
-    idx = np.zeros((3, 1000), dtype=np.int64)
-    for shrink in (True, False):
-        # the gradient at w* is exactly zero: the gate drops every step and
-        # ungated SGD stays put as well
-        errors, skips = _run_batch(prob, idx, W0, shrink, _ks(1, 5, 1000))
-        np.testing.assert_array_equal(errors, 0.0)
-        assert np.all(skips == (3 if shrink else 0))
+    idx = np.zeros((1000, 3), dtype=np.int64)
+    # the gradient at w* is exactly zero: the gate drops every step and
+    # ungated SGD stays put as well
+    errors, skips = _run_chains(prob, idx, W0, _ks(1, 5, 1000))
+    np.testing.assert_array_equal(errors, 0.0)
+    assert np.all(skips == 3)
 
 
 def test_expected_applied_gradient_enumeration(small_problem):
@@ -106,21 +114,21 @@ def test_expected_applied_gradient_enumeration(small_problem):
     skipped_mass = np.mean(
         [prob.component_grad(i, w) * (norms[i] <= thresh)
          for i in range(prob.n)], axis=0)
-    np.testing.assert_allclose(mean_applied, prob.grad(w) - skipped_mass,
+    grad_F = prob.mu * (w - prob.w_star)
+    np.testing.assert_allclose(mean_applied, grad_F - skipped_mass,
                                rtol=0, atol=1e-12)
 
     # and the harness realizes exactly this rule for each component: seed i
     # draws component i each step; step 1 is always gated (k=1), step 2 is
     # the k=2 rule, and the error recorded before step 3 shows where it moved
-    idx = np.repeat(np.arange(prob.n)[:, None], 3, axis=1)
-    errors, skips = _run_batch(prob, idx, np.tile(w, (prob.n, 1)), True,
-                               _ks(1, 3))
+    idx = np.repeat(np.arange(prob.n)[None, :], 3, axis=0)
+    errors, skips = _run_chains(prob, idx, np.tile(w, (prob.n, 1)), _ks(1, 3))
     assert skips[0] == prob.n
     assert skips[1] == int(np.sum(norms <= thresh))
     for i in range(prob.n):
         expect = w if norms[i] <= thresh else prob.project(
             w - eta * prob.component_grad(i, w))
-        assert errors[1, i] == pytest.approx(
+        assert errors[0, 1, i] == pytest.approx(
             float(np.sum((expect - prob.w_star) ** 2)), rel=1e-12, abs=1e-15)
 
 
@@ -133,10 +141,10 @@ def test_iterates_stay_in_ball():
     w_star_norm = float(np.linalg.norm(prob.w_star))
     assert w_star_norm < 1e-12
     W0 = uniform_ball(prob.dim, prob.D, rng, size=30)
-    idx = rng.integers(prob.n, size=(30, 500))
-    for shrink in (True, False):
-        errors, _ = _run_batch(prob, idx, W0, shrink, np.arange(1, 501))
-        assert np.all(np.sqrt(errors) <= prob.D + w_star_norm + 1e-12)
+    idx = rng.integers(prob.n, size=(30, 500)).T
+    errors, _ = _run_chains(prob, idx, W0, np.arange(1, 501))
+    # both chains, gated and ungated
+    assert np.all(np.sqrt(errors) <= prob.D + w_star_norm + 1e-12)
 
 
 def test_shrink_disabled_is_projected_sgd(small_problem):
@@ -144,11 +152,10 @@ def test_shrink_disabled_is_projected_sgd(small_problem):
     rng = np.random.default_rng(5)
     w = uniform_ball(prob.dim, prob.D, np.random.default_rng(9))
     idx = rng.integers(prob.n, size=199)
-    errors, skips = _run_batch(prob, idx[None, :], w[None, :], False,
-                               np.arange(1, 200))
-    assert not skips.any()
+    # the ungated chain (row 1) is plain projected SGD
+    errors, _ = _run_chains(prob, idx[:, None], w[None, :], np.arange(1, 200))
     for k in range(1, 200):
-        assert errors[k - 1, 0] == pytest.approx(
+        assert errors[1, k - 1, 0] == pytest.approx(
             float(np.sum((w - prob.w_star) ** 2)), rel=1e-12, abs=1e-15)
         step = w - (1.0 / (prob.mu * k)) * prob.component_grad(int(idx[k - 1]), w)
         w = prob.project(step)
