@@ -6,10 +6,14 @@ w = sum_j alpha_j y_j x_j is maintained incrementally, so each coordinate
 gradient is y_i w.x_i - 1 at sparse cost, and alpha' Q alpha = ||w||^2.
 
 Coordinates pinned at a bound with a gradient pushing further out are
-moved to a shrunk set and skipped in later sweeps.  Convergence is only
-declared after a verification sweep over the full index set with the
-shrunk set cleared, so shrinking can change the work done but never the
-answer.
+moved to a shrunk set and skipped in later sweeps.  When a sweep over the
+active set passes the tolerance test while coordinates are shrunk, one
+vectorized KKT pass computes every gradient, G = y * (X w) - 1, at the
+point about to be returned.  Convergence is declared only when the max
+projected gradient over all rows with features is below tol; otherwise
+the active set becomes every coordinate the shrink rule would not pin at
+G, and sweeps resume.  So shrinking can change the work done but never
+the optimality test the answer passes.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Dataset
-from .linear_models import PrimalModel, svm_objective
+from .linear_models import PrimalModel
 
 
 @dataclass
@@ -45,10 +49,6 @@ class DualState:
                    qdiag=qdiag, C=C, active=active,
                    n_zero_diag=int(n - active.sum()))
 
-    def recompute_w(self, dataset: Dataset) -> np.ndarray:
-        """Sum alpha_j y_j x_j from scratch, for consistency checks."""
-        return dataset.X.T @ (self.alpha * dataset.labels)
-
     def dual_objective(self) -> float:
         return 0.5 * float(self.w @ self.w) - float(self.alpha.sum())
 
@@ -56,14 +56,19 @@ class DualState:
 @dataclass
 class SolveResult:
     state: DualState
-    curve: list[tuple[int, int, float, float, int]] = field(default_factory=list)
-    # curve rows: (n_updates, n_evals, elapsed_s, dual_objective, n_active)
+    curve: list[tuple[int, int, float, float, int, float]] = field(
+        default_factory=list)
+    # curve rows: (n_updates, n_evals, elapsed_s, dual_objective, n_active,
+    # max_pg), one per sweep and one per KKT check; max_pg is the sweep's
+    # max |projected gradient| over the coordinates it judged, or the
+    # check's over all rows with features
     converged: bool = False
     n_sweeps: int = 0
     n_updates: int = 0
     n_evals: int = 0
+    n_failed_checks: int = 0
     # Indices the heuristic had pinned when the tolerance test last passed
-    # (just before the verification sweep).  None when shrinking is off.
+    # (the set the KKT check judged).  None when shrinking is off.
     shrunk_at_convergence: np.ndarray | None = None
 
     def primal_model(self, dataset: Dataset) -> PrimalModel:
@@ -85,6 +90,13 @@ def projected_gradient(alpha_i: float, grad: float, C: float) -> float:
     return grad
 
 
+def projected_gradients(alpha: np.ndarray, grad: np.ndarray,
+                        C: float) -> np.ndarray:
+    """Array form of projected_gradient."""
+    return np.where(alpha <= 0.0, np.minimum(grad, 0.0),
+                    np.where(alpha >= C, np.maximum(grad, 0.0), grad))
+
+
 def _shrink_candidate(alpha_i: float, grad: float, C: float, eps: float) -> bool:
     """True when the coordinate sits at a bound the gradient keeps pushing
     into: alpha = 0 with grad > eps, or alpha = C with grad < -eps."""
@@ -95,6 +107,12 @@ def _shrink_candidate(alpha_i: float, grad: float, C: float, eps: float) -> bool
     return False
 
 
+def _shrink_candidates(alpha: np.ndarray, grad: np.ndarray, C: float,
+                       eps: float) -> np.ndarray:
+    """Array form of _shrink_candidate."""
+    return np.where(alpha <= 0.0, grad > eps, (alpha >= C) & (grad < -eps))
+
+
 def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
           use_shrinking: bool = True, eps_shrink: float = 0.1,
           seed: int = 0) -> SolveResult:
@@ -102,10 +120,11 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
     over the active set drops below tol.
 
     With shrinking, bound-pinned coordinates collected during a sweep are
-    deactivated after it.  Once the active set passes the tol test, all
-    coordinates are reactivated and one verification sweep must pass the
-    same test before convergence is declared; otherwise sweeps resume on
-    the full set.
+    deactivated after it.  Once the active set passes the tol test with
+    coordinates shrunk, one KKT pass judges every row with features at the
+    current point: below tol it converges, otherwise the rows the shrink
+    rule would not pin there become the active set and sweeps resume.
+    With nothing shrunk the sweep's own test is final.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -113,65 +132,58 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
     state = DualState.init(dataset, C)
     rng = np.random.default_rng(seed)
     result = SolveResult(state=state)
-    n = len(dataset)
-    verifying = False
+    instances = dataset.instances
+    alpha, w, qdiag = state.alpha, state.w, state.qdiag
+    has_features = qdiag > 0.0
 
-    for _ in range(max_epochs):
-        idx = np.flatnonzero(state.active)
-        if idx.size == 0:
-            if use_shrinking and not verifying:
-                # Everything pinned by the heuristic: verify before trusting it.
-                result.shrunk_at_convergence = np.flatnonzero(
-                    ~state.active & (state.qdiag > 0.0))
-                state.active = state.qdiag > 0.0
-                verifying = True
-                continue
-            result.converged = True
-            break
-        order = idx[rng.permutation(idx.size)]
-        max_pg = 0.0
-        to_shrink: list[int] = []
-        for i in order:
-            i = int(i)
-            grad = coordinate_gradient(state, dataset, i)
-            result.n_evals += 1
-            alpha_i = state.alpha[i]
-            if use_shrinking and not verifying and _shrink_candidate(
-                    alpha_i, grad, state.C, eps_shrink):
-                to_shrink.append(i)
-                continue
-            pg = projected_gradient(alpha_i, grad, state.C)
-            max_pg = max(max_pg, abs(pg))
-            if pg != 0.0:
-                new = min(max(alpha_i - grad / state.qdiag[i], 0.0), state.C)
-                delta = new - alpha_i
-                if delta != 0.0:
-                    state.alpha[i] = new
-                    inst = dataset.instances[i]
-                    state.w[inst.indices] += (delta * inst.label) * inst.values
-                    result.n_updates += 1
-        for i in to_shrink:
-            state.active[i] = False
-        result.n_sweeps += 1
+    def record(max_pg: float) -> None:
         result.curve.append((result.n_updates, result.n_evals,
                              time.perf_counter() - t0,
                              state.dual_objective(),
-                             int(state.active.sum())))
-        if max_pg < tol:
-            if verifying or not use_shrinking:
-                result.converged = True
-                break
-            # Certify on the full set, not just the survivors.
-            result.shrunk_at_convergence = np.flatnonzero(
-                ~state.active & (state.qdiag > 0.0))
-            state.active = state.qdiag > 0.0
-            verifying = True
-        elif verifying:
-            verifying = False
+                             int(state.active.sum()), max_pg))
+
+    for _ in range(max_epochs):
+        idx = np.flatnonzero(state.active)
+        max_pg = 0.0
+        to_shrink: list[int] = []
+        for i in idx[rng.permutation(idx.size)].tolist():
+            grad = coordinate_gradient(state, dataset, i)
+            alpha_i = alpha[i]
+            if use_shrinking and _shrink_candidate(alpha_i, grad, C, eps_shrink):
+                to_shrink.append(i)
+                continue
+            pg = projected_gradient(alpha_i, grad, C)
+            max_pg = max(max_pg, abs(pg))
+            if pg != 0.0:
+                new = min(max(alpha_i - grad / qdiag[i], 0.0), C)
+                delta = new - alpha_i
+                if delta != 0.0:
+                    alpha[i] = new
+                    inst = instances[i]
+                    w[inst.indices] += (delta * inst.label) * inst.values
+                    result.n_updates += 1
+        result.n_evals += idx.size
+        state.active[to_shrink] = False
+        result.n_sweeps += 1
+        record(max_pg)
+        if max_pg >= tol:
+            continue
+        shrunk = np.flatnonzero(has_features & ~state.active)
+        if use_shrinking:
+            result.shrunk_at_convergence = shrunk
+        if shrunk.size == 0:
+            result.converged = True
+            break
+        # KKT check at the point being returned, over every coordinate
+        grad_all = dataset.labels * (dataset.X @ w) - 1.0
+        result.n_evals += len(dataset)
+        kkt = float(np.abs(projected_gradients(alpha, grad_all, C))[has_features].max())
+        if kkt < tol:
+            record(kkt)
+            result.converged = True
+            break
+        result.n_failed_checks += 1
+        state.active = has_features & ~_shrink_candidates(alpha, grad_all, C,
+                                                          eps_shrink)
+        record(kkt)
     return result
-
-
-def duality_gap(result: SolveResult, dataset: Dataset) -> float:
-    """Primal objective minus the (negated, max-form) dual objective."""
-    primal = svm_objective(result.primal_model(dataset), dataset)
-    return primal - (-result.state.dual_objective())

@@ -488,20 +488,23 @@ def _run_svm_dual(cfg, out_dir: Path):
             res = dual_solve(dataset, C, tol=tol, max_epochs=max_epochs,
                              use_shrinking=shrink, eps_shrink=eps_shrink,
                              seed=seed)
-            for n_upd, n_ev, elapsed, obj, n_active in res.curve:
+            for n_upd, n_ev, elapsed, obj, n_active, max_pg in res.curve:
                 rows.append((label, seed, n_upd, n_ev,
-                             elapsed if record_time else 0.0, obj, n_active))
+                             elapsed if record_time else 0.0, obj, n_active,
+                             max_pg))
             primal = svm_objective(res.primal_model(dataset), dataset)
             dualobj = res.state.dual_objective()
             per_seed.setdefault(label, {})[str(seed)] = {
                 "converged": res.converged,
                 "n_sweeps": res.n_sweeps,
                 "n_updates": res.n_updates,
+                "n_evals": res.n_evals,
+                "n_failed_checks": res.n_failed_checks,
                 "dual_objective": dualobj,
                 "primal_objective": primal,
                 "rel_gap": abs(primal + dualobj) / max(abs(primal), 1e-300),
             }
-    _write_curve_csv(out_dir / "curves_dual.csv", rows, extra=",n_active")
+    _write_curve_csv(out_dir / "curves_dual.csv", rows, extra=",n_active,max_pg")
     summary = {
         "task": "svm_dual",
         "C": C,

@@ -7,9 +7,14 @@ import pytest
 
 from shrinkopt import dual_cd
 from shrinkopt.dataio import parse_libsvm, synth_svm
-from shrinkopt.dual_cd import (DualState, coordinate_gradient, duality_gap,
+from shrinkopt.dual_cd import (DualState, coordinate_gradient,
                                projected_gradient, solve)
 from shrinkopt.linear_models import svm_objective
+
+
+def _w_from_alpha(ds, alpha):
+    """The primal vector sum_j alpha_j y_j x_j, built from scratch."""
+    return ds.X.T @ (alpha * ds.labels)
 
 
 def test_first_update_clips_to_box():
@@ -50,7 +55,7 @@ def test_pg_zero_iff_update_noop():
     for _ in range(20):
         state = DualState.init(ds, C)
         state.alpha = rng.choice([0.0, C, 0.0, 0.35], size=30)
-        state.w = state.recompute_w(ds)
+        state.w = _w_from_alpha(ds, state.alpha)
         for i in range(30):
             grad = coordinate_gradient(state, ds, i)
             alpha_i = float(state.alpha[i])
@@ -85,7 +90,7 @@ def test_shrink_pass_interior_untouched():
     ds = synth_svm(20, 3, margin=0.5, flip_prob=0.1, seed=2)
     state = DualState.init(ds, C=1.0)
     state.alpha[:] = 0.5  # all interior
-    state.w = state.recompute_w(ds)
+    state.w = _w_from_alpha(ds, state.alpha)
     for i in range(len(ds)):
         grad = coordinate_gradient(state, ds, i)
         assert not dual_cd._shrink_candidate(0.5, grad, 1.0, 0.1)
@@ -114,7 +119,7 @@ def test_box_feasible_and_consistent_after_solve():
     res = solve(ds, C=0.05, tol=1e-6)
     a = res.state.alpha
     assert np.all(a >= 0.0) and np.all(a <= 0.05)
-    np.testing.assert_allclose(res.state.recompute_w(ds), res.state.w,
+    np.testing.assert_allclose(_w_from_alpha(ds, a), res.state.w,
                                rtol=0, atol=1e-8)
 
 
@@ -131,13 +136,18 @@ def test_curve_schema():
     res = solve(ds, C=0.1, tol=1e-6)
     n_active_seen = set()
     for row in res.curve:
-        n_updates, n_evals, elapsed, obj, n_active = row
+        n_updates, n_evals, elapsed, obj, n_active, max_pg = row
         assert n_evals >= n_updates >= 0
         assert elapsed >= 0.0
         assert 0 <= n_active <= len(ds)
+        assert max_pg >= 0.0
         n_active_seen.add(n_active)
     # shrinking actually removed coordinates at some point
     assert min(n_active_seen) < len(ds)
+    # one row per sweep plus one per KKT check; the last check passed
+    n_checks = len(res.curve) - res.n_sweeps
+    assert n_checks == res.n_failed_checks + 1
+    assert res.converged and res.curve[-1][5] < 1e-6
 
 
 def test_infinite_eps_matches_unshrunk_prefix():
@@ -145,14 +155,32 @@ def test_infinite_eps_matches_unshrunk_prefix():
     plain = solve(ds, C=0.1, tol=1e-6, use_shrinking=False, seed=0)
     inf_eps = solve(ds, C=0.1, tol=1e-6, use_shrinking=True,
                     eps_shrink=np.inf, seed=0)
-    # nothing is ever shrunk, so sweeps agree bitwise until the plain run
-    # stops; the shrinking run then appends its mandatory verification sweep
+    # nothing is ever shrunk, so no KKT check runs and the two solves are
+    # the same solve, bit for bit (elapsed time aside)
     assert inf_eps.shrunk_at_convergence.size == 0
-    assert inf_eps.n_sweeps == plain.n_sweeps + 1
-    for a, b in zip(plain.curve, inf_eps.curve):
-        assert a[0] == b[0]   # n_updates
-        assert a[3] == b[3]   # dual objective, bitwise
     assert inf_eps.converged and plain.converged
+    assert inf_eps.n_sweeps == plain.n_sweeps
+    assert (inf_eps.n_evals, inf_eps.n_updates, inf_eps.n_failed_checks) == (
+        plain.n_evals, plain.n_updates, 0)
+    assert inf_eps.state.alpha.tobytes() == plain.state.alpha.tobytes()
+    assert inf_eps.state.w.tobytes() == plain.state.w.tobytes()
+    assert len(inf_eps.curve) == len(plain.curve) == plain.n_sweeps
+    for a, b in zip(plain.curve, inf_eps.curve):
+        assert a[:2] + a[3:] == b[:2] + b[3:]
+
+
+def test_failed_check_resumes_and_certifies_returned_point():
+    # one of the few small sets where the first KKT check fails, so the
+    # solve sweeps again before a second check certifies its point
+    ds = synth_svm(200, 8, margin=0.5, flip_prob=0.1, seed=5)
+    C = 1.0 / (0.01 * len(ds))
+    res = solve(ds, C=C, tol=1e-3, seed=0)
+    assert res.converged and res.n_failed_checks == 1
+    assert len(res.curve) == res.n_sweeps + res.n_failed_checks + 1
+    w = _w_from_alpha(ds, res.state.alpha)
+    grads = ds.labels * (ds.X @ w) - 1.0
+    assert max(abs(projected_gradient(a, g, C))
+               for a, g in zip(res.state.alpha, grads)) < 1e-3
 
 
 def test_shrunk_set_excludes_support_vectors():
@@ -171,10 +199,10 @@ def test_shrunk_set_excludes_support_vectors():
     # the primal vector w* is not
     margins = ds.labels * (ds.X @ ref.state.w)
     for i in shrunk:
-        # the verification sweep may nudge a pinned coordinate by ~tol
+        # nothing moves a shrunk coordinate, so it sits exactly at its bound
         pinned = res.state.alpha[i]
-        assert pinned < 1e-8 or pinned > C - 1e-8
-        if pinned < 1e-8:
+        assert pinned == 0.0 or pinned == C
+        if pinned == 0.0:
             assert margins[i] >= 1.0 - 1e-3
         else:
             assert margins[i] <= 1.0 + 1e-3
@@ -196,7 +224,8 @@ def test_duality_gap_closes_at_convergence():
     res = solve(ds, C=C, tol=1e-8, max_epochs=4000)
     assert res.converged
     primal = svm_objective(res.primal_model(ds), ds)
-    gap = duality_gap(res, ds)
+    w = _w_from_alpha(ds, res.state.alpha)
+    gap = primal - (float(res.state.alpha.sum()) - 0.5 * float(w @ w))
     assert gap >= -1e-9          # weak duality up to rounding
     assert gap / abs(primal) < 1e-4
 

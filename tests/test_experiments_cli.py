@@ -231,8 +231,16 @@ def test_svm_dual_run(tmp_path):
         info = entry["0"]
         assert info["converged"]
         assert info["rel_gap"] < 1e-3
-    header = (tmp_path / "dual" / "curves_dual.csv").read_text().splitlines()[0]
-    assert header == CURVE_HEADER + ",n_active"
+        assert info["n_evals"] > 0 and info["n_failed_checks"] >= 0
+    lines = (tmp_path / "dual" / "curves_dual.csv").read_text().splitlines()
+    assert lines[0] == CURVE_HEADER + ",n_active,max_pg"
+    # the last row of each variant is its passing test, below tol
+    last = {}
+    for line in lines[1:]:
+        cells = line.split(",")
+        last[cells[0]] = float(cells[-1])
+    assert set(last) == {"DualCD", "DualCD_NoShrink"}
+    assert all(0.0 <= pg < 1e-6 for pg in last.values())
 
 
 # ---------------------------------------------------------------------------

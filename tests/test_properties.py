@@ -1,7 +1,9 @@
 """Property tests against the reference forms the code must reproduce bit
 for bit: the assistant's scalar kernels against their numpy forms, the
-bulk libsvm reader against a per-line reader, and the lock-step
-certification kernel against one chain stepped at a time."""
+bulk libsvm reader against a per-line reader, the lock-step
+certification kernel against one chain stepped at a time, and the dual
+solver's array rules against their scalar forms.  The dual solver's
+answer is also checked against KKT conditions computed from scratch."""
 
 from __future__ import annotations
 
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shrinkopt.autoassist import ThresholdPolicy  # noqa: E402
+from shrinkopt.dual_cd import (_shrink_candidate, _shrink_candidates,  # noqa: E402
+                               projected_gradient, projected_gradients, solve)
 from shrinkopt.dataio import (Dataset, ParseError, SparseInstance,  # noqa: E402
                               parse_libsvm, to_libsvm)
 from shrinkopt.linear_models import ComponentProblem, sigmoid  # noqa: E402
@@ -193,6 +197,13 @@ def test_parse_raises_per_line_readers_error_on_invalid_text(lines, extra):
     assert len(parse_libsvm(text)) == len(rows)
 
 
+def _dataset(rows) -> Dataset:
+    """A Dataset from (label, {feature: value}) pairs."""
+    return Dataset([SparseInstance(y, np.array(sorted(f), dtype=np.int64),
+                                   np.array([f[i] for i in sorted(f)], dtype=np.float64))
+                    for y, f in rows])
+
+
 _rows = st.lists(st.tuples(st.sampled_from([1.0, -1.0]),
                            st.dictionaries(st.integers(0, 50), _finite, max_size=6)),
                  min_size=1, max_size=20)
@@ -201,9 +212,7 @@ _rows = st.lists(st.tuples(st.sampled_from([1.0, -1.0]),
 @given(_rows)
 @example([(1.0, {0: -0.0, 3: 5e-324}), (-1.0, {}), (1.0, {50: -1.2345678901234567e150})])
 def test_libsvm_round_trip_is_exact(rows):
-    ds = Dataset([SparseInstance(y, np.array(sorted(f), dtype=np.int64),
-                                 np.array([f[i] for i in sorted(f)], dtype=np.float64))
-                  for y, f in rows])
+    ds = _dataset(rows)
     back = parse_libsvm(to_libsvm(ds))
     for name in ("labels", "indptr", "indices", "data", "norms_sq"):
         assert _same_array(getattr(back, name), getattr(ds, name)), name
@@ -273,3 +282,116 @@ def test_lock_step_chains_match_one_chain_at_a_time(n, dim, n_seeds, n_steps,
         assert errors[chain].tobytes() == ref_errors.tobytes()
         if shrink:
             assert skips.tolist() == ref_skips.tolist()
+
+
+@st.composite
+def _rule_inputs(draw):
+    C = draw(st.floats(1e-3, 10.0))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.just(np.inf)))
+    edges = [0.0, -0.0, eps, -eps, float(np.nextafter(eps, np.inf)),
+             float(np.nextafter(-eps, -np.inf))]
+    alphas = st.one_of(st.sampled_from([0.0, -0.0, C]), st.floats(0.0, C))
+    grads = st.one_of(st.sampled_from(edges), st.floats(-10.0, 10.0))
+    return C, eps, draw(st.lists(st.tuples(alphas, grads), min_size=1, max_size=20))
+
+
+@given(_rule_inputs())
+@example((1.0, 0.1, [(0.0, 0.1), (-0.0, -0.0), (1.0, -0.1), (1.0, -0.0),
+                     (0.0, 0.10000000000000002), (1.0, -0.10000000000000002),
+                     (0.5, 5.0)]))
+@example((2.0, np.inf, [(0.0, np.inf), (2.0, -np.inf), (0.0, 0.0)]))
+def test_array_rules_match_scalar_rules(inputs):
+    C, eps, pairs = inputs
+    alpha = np.array([a for a, _ in pairs])
+    grad = np.array([g for _, g in pairs])
+    pg = projected_gradients(alpha, grad, C)
+    pinned = _shrink_candidates(alpha, grad, C, eps)
+    assert pinned.dtype == bool
+    for k, (a, g) in enumerate(pairs):
+        # equal as values: numpy may give a zero the other sign, which the
+        # solver's abs() removes
+        assert pg[k] == projected_gradient(a, g, C)
+        assert bool(pinned[k]) == _shrink_candidate(a, g, C, eps)
+
+
+_svm_rows = st.lists(
+    st.tuples(st.sampled_from([1.0, -1.0]),
+              st.dictionaries(st.integers(0, 3),
+                              st.one_of(st.sampled_from([0.0, 0.5, -1.0, 1.5]),
+                                        st.floats(-3.0, 3.0, allow_subnormal=False)),
+                              max_size=4)),
+    min_size=1, max_size=12)
+
+
+def _kkt_oracle(X, y, alpha, C):
+    """Max |projected gradient| over the rows with features, and the dual
+    objective, from X, labels and alpha alone."""
+    w = X.T @ (alpha * y)
+    worst = 0.0
+    for i in range(X.shape[0]):
+        row = X.getrow(i)
+        if not row.multiply(row).sum() > 0.0:
+            continue
+        g = y[i] * float((row @ w)[0]) - 1.0
+        if alpha[i] <= 0.0:
+            g = min(g, 0.0)
+        elif alpha[i] >= C:
+            g = max(g, 0.0)
+        worst = max(worst, abs(g))
+    return worst, 0.5 * float(w @ w) - float(alpha.sum())
+
+
+_SMALL_SVM = [(1.0, {}), (1.0, {0: 0.0}), (-1.0, {0: 1.0}), (1.0, {0: 1.0, 1: 0.5})]
+
+
+def test_dual_solve_converges_on_small_problem():
+    ds = _dataset(_SMALL_SVM)
+    for shrink in (True, False):
+        res = solve(ds, 1.0, tol=1e-6, use_shrinking=shrink, seed=0)
+        assert res.converged
+        assert _kkt_oracle(ds.X, ds.labels, res.state.alpha, 1.0)[0] < 1e-6
+
+
+@settings(deadline=None)
+@given(rows=_svm_rows, C=st.floats(1e-3, 10.0),
+       tol=st.sampled_from([1e-3, 1e-6]), seed=st.integers(0, 3))
+@example(rows=_SMALL_SVM, C=1.0, tol=1e-6, seed=0)
+@example(rows=[(-1.0, {2: -1.0, 0: 6.103515625e-05}),
+               (1.0, {0: -1.0, 1: 0.0, 2: -1.0, 3: 1.5}),
+               (1.0, {0: -1.0}), (1.0, {3: 1.5})],
+         C=2.0, tol=1e-6, seed=0)
+def test_dual_solve_certifies_kkt_point(rows, C, tol, seed):
+    ds = _dataset(rows)
+    X, y = ds.X, ds.labels
+    m = int(np.count_nonzero(np.asarray(X.multiply(X).sum(axis=1)).ravel() > 0.0))
+    max_epochs = 1000
+    found = []
+    for shrink in (True, False):
+        res = solve(ds, C, tol=tol, max_epochs=max_epochs, use_shrinking=shrink,
+                    seed=seed)
+        if not res.converged:
+            # Dual CD has no bound on its sweeps: a near-singular Gram matrix
+            # can need tens of thousands (the second example needs 20,089).
+            # An unconverged run must have spent its whole budget and its
+            # last recorded measure, sweep or check, must not pass tol.
+            assert res.n_sweeps == max_epochs
+            assert res.curve[-1][5] >= tol
+            continue
+        pg, dual = _kkt_oracle(X, y, res.state.alpha, C)
+        # a run that shrank anything ends on a passing KKT check, which
+        # judged the point returned.  A run that ends on a sweep's own test
+        # judged each coordinate before the later updates of that sweep, so
+        # its point is not held to tol here.
+        ends_on_check = len(res.curve) - res.n_sweeps == res.n_failed_checks + 1
+        if shrink:
+            assert ends_on_check == (res.shrunk_at_convergence.size > 0)
+        if ends_on_check:
+            assert pg < tol
+        found.append((pg, dual))
+    if len(found) < 2:
+        return
+    # By convexity and the box, f(alpha) - f* <= max|PG(alpha)| * C summed
+    # over the rows with features, so the two objectives differ by at most
+    # the sum of both runs' bounds (plus round-off).
+    (pg_s, d_s), (pg_n, d_n) = found
+    assert abs(d_s - d_n) <= (pg_s + pg_n) * m * C + 1e-12 * (1.0 + abs(d_n))
