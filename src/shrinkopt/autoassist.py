@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, SparseInstance
+from .dataio import Dataset, dense_dataset
 from .linear_models import (
     SIGMOID_CLAMP,
     ComponentProblem,
@@ -45,11 +45,6 @@ STALL_TIMEOUT_S = 60.0
 METRIC_KEYS = ("step", "model_version", "objective", "acceptance_rate",
                "boss_idle_s", "assistant_idle_s", "q_boss_occupancy",
                "q_assistant_occupancy", "starvation_events")
-
-
-def _instances_of(data) -> list[SparseInstance]:
-    """Accept a Dataset, a boss adapter, or a bare instance sequence."""
-    return data.instances if hasattr(data, "instances") else data
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +135,26 @@ class AssistantModel:
     def zeros(cls, n_features: int, **kw) -> AssistantModel:
         return cls(phi=np.zeros(n_features), **kw)
 
-    def score(self, inst: SparseInstance) -> float:
-        z = float(self.phi[inst.indices] @ inst.values) + self.bias
+    def score(self, dataset: Dataset, i: int) -> float:
+        """g(x) for row i."""
+        return self._g(*dataset.row(i))
+
+    def _g(self, y: float, idx: np.ndarray, val: np.ndarray) -> float:
+        z = float(self.phi[idx] @ val) + self.bias
         if self.use_label_feature:
-            z += self.label_weight * inst.label
+            z += self.label_weight * y
         p = sigmoid(z)
         return min(max(p, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
 
-    def train_on_pair(self, inst: SparseInstance, z_label: int) -> None:
-        """One cross-entropy SGD step toward the binary target."""
-        err = self.score(inst) - z_label
+    def train_on_pair(self, dataset: Dataset, i: int, z_label: int) -> None:
+        """One cross-entropy SGD step on row i toward the binary target."""
+        y, idx, val = dataset.row(i)
+        err = self._g(y, idx, val) - z_label
         lr = self.learning_rate
-        self.phi[inst.indices] -= (lr * err) * inst.values
+        self.phi[idx] -= (lr * err) * val
         self.bias -= lr * err
         if self.use_label_feature:
-            self.label_weight -= lr * err * inst.label
+            self.label_weight -= lr * err * y
 
 
 def label_from_loss(loss: float, T: float) -> int:
@@ -165,13 +165,12 @@ def label_from_loss(loss: float, T: float) -> int:
 
 
 def assistant_train_step(assistant: AssistantModel, report: LossReport,
-                         data) -> AssistantModel:
+                         dataset: Dataset) -> AssistantModel:
     """Consume one loss report: label each pair against the pre-report T,
     take one SGD step per pair, then feed the losses to the threshold."""
-    instances = _instances_of(data)
     T = assistant.threshold.current
     for i, loss in report.pairs:
-        assistant.train_on_pair(instances[i], label_from_loss(loss, T))
+        assistant.train_on_pair(dataset, i, label_from_loss(loss, T))
     assistant.threshold.extend(loss for _, loss in report.pairs)
     if report.seq <= assistant.last_seq:
         raise ValueError("loss reports arrived out of order")
@@ -187,7 +186,6 @@ def assistant_train_step(assistant: AssistantModel, report: LossReport,
 @dataclass
 class BossBatch:
     indices: list[int]
-    instances: list[SparseInstance]
     seq: int = 0
 
 
@@ -309,17 +307,17 @@ class SamplerStats:
     starvation_events: int = 0
 
 
-def accept_candidate(assistant: AssistantModel, inst: SparseInstance,
+def accept_candidate(assistant: AssistantModel, dataset: Dataset, i: int,
                      c: float) -> bool:
     """Two-stage rule on one uniform draw c: accept outright with the base
     probability, else accept when the rescaled remainder falls under g(x).
     Overall acceptance probability is gamma + (1 - gamma) * g(x)."""
     if c < assistant.gamma:
         return True
-    return (c - assistant.gamma) / (1.0 - assistant.gamma) < assistant.score(inst)
+    return (c - assistant.gamma) / (1.0 - assistant.gamma) < assistant.score(dataset, i)
 
 
-def sample_batch(assistant: AssistantModel, data, batch_size: int,
+def sample_batch(assistant: AssistantModel, dataset: Dataset, batch_size: int,
                  rng: np.random.Generator, stream: IndexStream | None = None,
                  stats: SamplerStats | None = None, seq: int = 0) -> BossBatch:
     """Fill a batch of exactly batch_size accepted candidates.
@@ -331,12 +329,10 @@ def sample_batch(assistant: AssistantModel, data, batch_size: int,
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    instances = _instances_of(data)
     if stream is None:
-        stream = IndexStream(len(instances), rng, mode="uniform")
+        stream = IndexStream(len(dataset), rng, mode="uniform")
     limit = STARVATION_FACTOR * batch_size
     indices: list[int] = []
-    batch_insts: list[SparseInstance] = []
     drawn = 0
     starved = False
     while len(indices) < batch_size:
@@ -345,18 +341,16 @@ def sample_batch(assistant: AssistantModel, data, batch_size: int,
             if stats is not None:
                 stats.starvation_events += 1
         i = stream.next()
-        inst = instances[i]
         if not starved:
             drawn += 1
             if stats is not None:
                 stats.candidates += 1
-            if not accept_candidate(assistant, inst, float(rng.random())):
+            if not accept_candidate(assistant, dataset, i, float(rng.random())):
                 continue
             if stats is not None:
                 stats.accepted += 1
         indices.append(i)
-        batch_insts.append(inst)
-    return BossBatch(indices, batch_insts, seq)
+    return BossBatch(indices, seq)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +366,11 @@ class PegasosBoss:
         self.model = PrimalModel.zeros(dataset.n_features, lam, len(dataset))
         self.version = 0
 
-    @property
-    def instances(self) -> list[SparseInstance]:
-        return self.dataset.instances
-
-    @property
-    def n(self) -> int:
-        return len(self.dataset.instances)
-
     def losses(self, indices) -> list[float]:
-        return [hinge_loss(self.model, self.dataset.instances[i]) for i in indices]
+        return [hinge_loss(self.model, self.dataset, i) for i in indices]
 
     def update(self, indices) -> None:
-        pegasos_step(self.model, [self.dataset.instances[i] for i in indices],
-                     self.version + 1)
+        pegasos_step(self.model, self.dataset, indices, self.version + 1)
         self.version += 1
 
     def objective(self) -> float:
@@ -393,21 +378,13 @@ class PegasosBoss:
 
 
 class QuadraticBoss:
-    """Strongly convex finite-sum boss over dense per-component features."""
+    """Strongly convex finite-sum boss; its dataset is the centers, labeled +1."""
 
     def __init__(self, problem: ComponentProblem) -> None:
         self.problem = problem
         self.w = np.zeros(problem.dim)
         self.version = 0
-        idx = np.arange(problem.dim, dtype=np.int64)
-        self.instances = [
-            SparseInstance(1.0, idx.copy(), np.array(problem.centers[i], dtype=float))
-            for i in range(problem.n)
-        ]
-
-    @property
-    def n(self) -> int:
-        return self.problem.n
+        self.dataset = dense_dataset(np.ones(problem.n), problem.centers)
 
     def losses(self, indices) -> list[float]:
         return [self.problem.component_value(i, self.w) for i in indices]
@@ -477,7 +454,10 @@ class PipelineResult:
     metrics: list[dict]
     stats: SamplerStats
     elapsed_s: float = 0.0
-    throughput: float = 0.0        # boss updates per second
+    # boss updates per second of elapsed_s less instrumentation_s, the time
+    # spent writing metric lines (each reads the full objective)
+    throughput: float = 0.0
+    instrumentation_s: float = 0.0
     boss_idle_s: float = 0.0
     assistant_idle_s: float = 0.0
     q_boss_hist: dict[int, int] = field(default_factory=dict)
@@ -494,7 +474,7 @@ class _AssistantCtx:
 
     config: PipelineConfig
     assistant: AssistantModel
-    instances: list
+    dataset: Dataset
     stream: IndexStream
     accept_rng: np.random.Generator
     bq: BoundedChannel
@@ -512,7 +492,7 @@ def _assistant_refill_tick(ctx: _AssistantCtx,
                            stop: threading.Event | None = None) -> bool:
     """Sample one batch and enqueue it; retries a full queue until told to
     stop.  Returns whether the batch was delivered."""
-    batch = sample_batch(ctx.assistant, ctx.instances, ctx.config.batch_size,
+    batch = sample_batch(ctx.assistant, ctx.dataset, ctx.config.batch_size,
                          ctx.accept_rng, ctx.stream, ctx.stats, ctx.seq)
     ctx.seq += 1
     while True:
@@ -527,18 +507,21 @@ def _assistant_train_tick(ctx: _AssistantCtx, timeout: float = 0.0) -> bool:
     report = ctx.aq.get(timeout=timeout)
     if report is None:
         return False
-    assistant_train_step(ctx.assistant, report, ctx.instances)
+    assistant_train_step(ctx.assistant, report, ctx.dataset)
     if ctx.config.assistant_cost_s:
         time.sleep(ctx.config.assistant_cost_s)
     return True
 
 
-def _metric_line(step: int, boss, stats: SamplerStats, window: tuple[int, int],
-                 boss_idle: float, assistant_idle: float,
-                 occ_b: int, occ_a: int) -> dict:
+def _metric_line(metrics: list[dict], step: int, boss, stats: SamplerStats,
+                 window: tuple[int, int], boss_idle: float, assistant_idle: float,
+                 occ_b: int, occ_a: int) -> float:
+    """Append one metric line; returns the seconds that took, which the
+    drivers keep off the throughput clock."""
+    t0 = time.perf_counter()
     dc = stats.candidates - window[0]
     da = stats.accepted - window[1]
-    return {
+    metrics.append({
         "step": step,
         "model_version": boss.version,
         "objective": boss.objective(),
@@ -548,7 +531,8 @@ def _metric_line(step: int, boss, stats: SamplerStats, window: tuple[int, int],
         "q_boss_occupancy": occ_b,
         "q_assistant_occupancy": occ_a,
         "starvation_events": stats.starvation_events,
-    }
+    })
+    return time.perf_counter() - t0
 
 
 def run_interleaved(boss, assistant: AssistantModel,
@@ -558,8 +542,8 @@ def run_interleaved(boss, assistant: AssistantModel,
     Byte-deterministic given the seed."""
     stream_rng, accept_rng = _pipeline_rngs(config.seed)
     ctx = _AssistantCtx(
-        config=config, assistant=assistant, instances=_instances_of(boss),
-        stream=IndexStream(boss.n, stream_rng, config.candidate_mode),
+        config=config, assistant=assistant, dataset=boss.dataset,
+        stream=IndexStream(len(boss.dataset), stream_rng, config.candidate_mode),
         accept_rng=accept_rng,
         bq=BoundedChannel(config.cap_boss, "block"),
         aq=BoundedChannel(config.cap_assistant, "drop_oldest"),
@@ -567,6 +551,7 @@ def run_interleaved(boss, assistant: AssistantModel,
     )
     metrics: list[dict] = []
     window = (0, 0)
+    instrumentation = 0.0
     t0 = time.perf_counter()
     for step in range(1, config.n_boss_steps + 1):
         while len(ctx.bq) < config.k_low_water:
@@ -579,13 +564,14 @@ def run_interleaved(boss, assistant: AssistantModel,
         while _assistant_train_tick(ctx):
             pass
         if step % config.metrics_every == 0 or step == config.n_boss_steps:
-            metrics.append(_metric_line(step, boss, ctx.stats, window,
-                                        0.0, 0.0, len(ctx.bq), len(ctx.aq)))
+            instrumentation += _metric_line(metrics, step, boss, ctx.stats, window,
+                                            0.0, 0.0, len(ctx.bq), len(ctx.aq))
             window = (ctx.stats.candidates, ctx.stats.accepted)
     elapsed = time.perf_counter() - t0
     return PipelineResult(
         boss=boss, assistant=assistant, metrics=metrics, stats=ctx.stats,
-        elapsed_s=elapsed, throughput=config.n_boss_steps / elapsed,
+        elapsed_s=elapsed, throughput=config.n_boss_steps / (elapsed - instrumentation),
+        instrumentation_s=instrumentation,
         reports_dropped=ctx.aq.dropped, steps_done=config.n_boss_steps)
 
 
@@ -601,8 +587,8 @@ def run_async(boss, assistant: AssistantModel,
     (both run as daemon threads)."""
     stream_rng, accept_rng = _pipeline_rngs(config.seed)
     ctx = _AssistantCtx(
-        config=config, assistant=assistant, instances=_instances_of(boss),
-        stream=IndexStream(boss.n, stream_rng, config.candidate_mode),
+        config=config, assistant=assistant, dataset=boss.dataset,
+        stream=IndexStream(len(boss.dataset), stream_rng, config.candidate_mode),
         accept_rng=accept_rng,
         bq=BoundedChannel(config.cap_boss, "block"),
         aq=BoundedChannel(config.cap_assistant, "drop_oldest"),
@@ -614,7 +600,7 @@ def run_async(boss, assistant: AssistantModel,
     idle = {"boss": 0.0, "assistant": 0.0}
     hist_b: Counter = Counter()
     hist_a: Counter = Counter()
-    done = {"steps": 0}
+    done = {"steps": 0, "instrumentation": 0.0}
 
     def shut_down() -> None:
         stop.set()
@@ -653,9 +639,9 @@ def run_async(boss, assistant: AssistantModel,
                 ctx.aq.put(report)
                 done["steps"] = step
                 if step % config.metrics_every == 0 or step == config.n_boss_steps:
-                    metrics.append(_metric_line(
-                        step, boss, ctx.stats, window, idle["boss"],
-                        idle["assistant"], len(ctx.bq), len(ctx.aq)))
+                    done["instrumentation"] += _metric_line(
+                        metrics, step, boss, ctx.stats, window, idle["boss"],
+                        idle["assistant"], len(ctx.bq), len(ctx.aq))
                     window = (ctx.stats.candidates, ctx.stats.accepted)
         except Exception:
             failures.append(traceback.format_exc())
@@ -682,10 +668,11 @@ def run_async(boss, assistant: AssistantModel,
                         f"(after {seen} steps)")
         shut_down()
     elapsed = time.perf_counter() - t0
+    working = elapsed - done["instrumentation"]
     return PipelineResult(
         boss=boss, assistant=assistant, metrics=metrics, stats=ctx.stats,
-        elapsed_s=elapsed,
-        throughput=done["steps"] / elapsed if elapsed > 0 else 0.0,
+        elapsed_s=elapsed, throughput=done["steps"] / working if working > 0 else 0.0,
+        instrumentation_s=done["instrumentation"],
         boss_idle_s=idle["boss"], assistant_idle_s=idle["assistant"],
         q_boss_hist=dict(sorted(hist_b.items())),
         q_assistant_hist=dict(sorted(hist_a.items())),
@@ -699,22 +686,21 @@ def run_plain_loop(boss, config: PipelineConfig) -> PipelineResult:
     with the pipeline drivers, so a gamma=1 pipeline sees identical
     batches."""
     stream_rng, _ = _pipeline_rngs(config.seed)
-    stream = IndexStream(boss.n, stream_rng, config.candidate_mode)
-    instances = _instances_of(boss)
+    stream = IndexStream(len(boss.dataset), stream_rng, config.candidate_mode)
     stats = SamplerStats()
     metrics: list[dict] = []
+    instrumentation = 0.0
     t0 = time.perf_counter()
     for step in range(1, config.n_boss_steps + 1):
-        indices = [stream.next() for _ in range(config.batch_size)]
-        batch = BossBatch(indices, [instances[i] for i in indices], step - 1)
-        boss_step(boss, batch)
+        boss_step(boss, BossBatch([stream.next() for _ in range(config.batch_size)],
+                                  step - 1))
         if config.boss_cost_s:
             time.sleep(config.boss_cost_s)
         if step % config.metrics_every == 0 or step == config.n_boss_steps:
-            metrics.append(_metric_line(step, boss, stats, (0, 0),
-                                        0.0, 0.0, 0, 0))
+            instrumentation += _metric_line(metrics, step, boss, stats, (0, 0),
+                                            0.0, 0.0, 0, 0)
     elapsed = time.perf_counter() - t0
     return PipelineResult(
         boss=boss, assistant=None, metrics=metrics, stats=stats,
-        elapsed_s=elapsed, throughput=config.n_boss_steps / elapsed,
-        steps_done=config.n_boss_steps)
+        elapsed_s=elapsed, throughput=config.n_boss_steps / (elapsed - instrumentation),
+        instrumentation_s=instrumentation, steps_done=config.n_boss_steps)

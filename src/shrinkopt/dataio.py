@@ -3,11 +3,11 @@
 A Dataset is one set of CSR arrays, the layout LIBLINEAR uses: ``labels``
 (+1 or -1 per row), ``indptr`` (row i owns positions indptr[i]:indptr[i+1]),
 ``indices`` (int64, 0-based, strictly increasing within a row) and ``data``
-(finite float64 values), plus ``norms_sq`` computed once.  ``X`` is a scipy
-CSR matrix over the same ``data``.  ``instances`` holds one SparseInstance
-per row whose ``indices`` and ``values`` are views into those arrays: the
-solvers read rows without copying, and no row owns a buffer of its own.
-Validation runs once, in bulk, when a Dataset is built.
+(finite float64 values), plus ``norms_sq`` computed once, in bulk.  ``X`` is
+a scipy CSR matrix over the same ``data``, and ``row(i)`` slices row i out
+of the arrays as (label, indices, values) views: the solvers read rows
+without copying, and no per-row object is built.  Validation runs once, in
+bulk, when a Dataset is built.
 
 The on-disk format is libsvm text: one instance per line,
 
@@ -64,8 +64,8 @@ class SparseInstance:
 
     ``indices`` are 0-based, strictly increasing; ``norm_sq`` caches
     ``values @ values`` because the dual solver needs it per coordinate
-    update.  Treated as immutable after construction.  A Dataset's rows
-    are instances whose arrays are views into the Dataset's arrays.
+    update.  Treated as immutable after construction.  ``Dataset.instances``
+    builds them as views into the Dataset's arrays.
     """
 
     label: float
@@ -85,6 +85,21 @@ class SparseInstance:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+
+def _norms_sq(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Each row's ``values @ values``, all rows of one length in one stacked
+    matmul, which takes the same BLAS dot per row and so matches the
+    per-row product to the bit; an einsum or a reduceat sum does not."""
+    lengths = np.diff(indptr)
+    norms = np.zeros(lengths.size)
+    order = np.argsort(lengths, kind="stable")      # rows in order within a length
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        L = int(lengths[rows[0]])
+        if L:
+            v = data[indptr[rows, None] + np.arange(L)]
+            norms[rows] = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+    return norms
 
 
 def _first_invalid_row(labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
@@ -108,11 +123,10 @@ class Dataset:
     """+1/-1 labeled rows held as one set of CSR arrays.
 
     ``labels``, ``indptr``, ``indices`` (int64), ``data`` and ``norms_sq``
-    are the layout; ``X`` is a scipy CSR matrix over ``data``;
-    ``instances[i]`` is row i as a SparseInstance whose arrays are views
-    into ``indices`` and ``data``.  Every row is built when the Dataset
-    is, so no hot path pays for set-up.  ``Dataset(instances)`` packs row
-    objects into the arrays and goes the same way.  Pickles as its arrays.
+    are the layout; ``X`` is a scipy CSR matrix over ``data``; ``row(i)``
+    is row i as (label, indices, values) views.  No per-row object is
+    built: ``instances`` makes SparseInstance rows on first access.
+    ``Dataset(instances)`` packs rows into the arrays.  Pickles as its arrays.
 
     Immutable after construction; safe to share read-only across workers.
     """
@@ -156,26 +170,30 @@ class Dataset:
         self.name = name
         self._labels: np.ndarray | None = labels
         self._X: sp.csr_matrix | None = None
-        # Rows are made directly, skipping SparseInstance's per-row checks:
-        # the arrays were checked above.  norm_sq is each row's own dot
-        # product, which a vectorised sum does not reproduce to the bit.
-        new = object.__new__
-        rows: list[SparseInstance] = []
-        norms: list[float] = []
-        bounds = indptr.tolist()
-        for label, lo, hi in zip(labels.tolist(), bounds, bounds[1:]):
-            inst = new(SparseInstance)
-            inst.label = label
-            inst.indices = indices[lo:hi]
-            inst.values = values = data[lo:hi]
-            inst.norm_sq = norm_sq = float(values @ values)
-            rows.append(inst)
-            norms.append(norm_sq)
-        self.instances = rows
-        self._norms_sq = np.array(norms)
+        self._rows: list[SparseInstance] | None = None
+        self._norms_sq = _norms_sq(indptr, data)
+        # Python ints and floats: the per-arrival reads in row() stay cheap.
+        self._bounds: list[int] = indptr.tolist()
+        self._row_labels: list[float] = labels.tolist()
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.indptr) - 1
+
+    def row(self, i: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """Row i as (label, feature indices, values); the arrays are views."""
+        lo, hi = self._bounds[i], self._bounds[i + 1]
+        return self._row_labels[i], self.indices[lo:hi], self.data[lo:hi]
+
+    @property
+    def instances(self) -> list[SparseInstance]:
+        """Every row as a SparseInstance over views of the arrays, built on
+        first access and cached; no solver reads it."""
+        if self._rows is None:
+            bounds, norms = self._bounds, self._norms_sq.tolist()
+            self._rows = [SparseInstance(y, self.indices[lo:hi], self.data[lo:hi], norm_sq)
+                          for y, norm_sq, lo, hi in zip(self._row_labels, norms,
+                                                        bounds, bounds[1:])]
+        return self._rows
 
     def __reduce__(self):
         return (Dataset._from_csr, (self.labels, self.indptr, self.indices, self.data,
@@ -192,12 +210,12 @@ class Dataset:
         """CSR design matrix over ``data``, built on first use and cached."""
         if self._X is None:
             self._X = sp.csr_matrix((self.data, self.indices, self.indptr),
-                                    shape=(len(self.instances), self.n_features))
+                                    shape=(len(self), self.n_features))
         return self._X
 
     @property
     def norms_sq(self) -> np.ndarray:
-        """Each row's ``values @ values``, computed with the rows."""
+        """Each row's ``values @ values``, computed when the Dataset is built."""
         return self._norms_sq
 
 
@@ -226,6 +244,15 @@ def _line_error(line: str, lineno: int) -> ParseError:
         prev = idx
     # Only an index past the int64 range passes every check above.
     return ParseError(f"line {lineno}: feature index out of range")
+
+
+def dense_dataset(labels: np.ndarray, points: np.ndarray, name: str = "") -> Dataset:
+    """A Dataset of the rows of an (N, dim) array, every column stored,
+    zeros too."""
+    N, dim = points.shape
+    return Dataset._from_csr(labels, np.arange(0, N * dim + 1, dim, dtype=np.int64),
+                             np.tile(np.arange(dim, dtype=np.int64), N), points.ravel(),
+                             n_features=dim, name=name)
 
 
 def parse_libsvm(source: str | Iterable[str], name: str = "") -> Dataset:
@@ -369,8 +396,5 @@ def synth_svm(N: int, dim: int, margin: float, flip_prob: float,
     shift = np.where(np.abs(s) < margin, side * margin - s, 0.0)
     pts += shift[:, None] * u
     labels = np.where(rng.random(N) < flip_prob, -side, side)
-    return Dataset._from_csr(labels, np.arange(0, N * dim + 1, dim, dtype=np.int64),
-                             np.tile(np.arange(dim, dtype=np.int64), N), pts.ravel(),
-                             n_features=dim,
-                             name=f"synth_svm(N={N},dim={dim},margin={margin},"
-                                  f"flip={flip_prob},seed={seed})")
+    return dense_dataset(labels, pts, name=f"synth_svm(N={N},dim={dim},margin={margin},"
+                                           f"flip={flip_prob},seed={seed})")

@@ -5,6 +5,9 @@ Q_ij = y_i y_j x_i . x_j, without ever materializing Q: the primal vector
 w = sum_j alpha_j y_j x_j is maintained incrementally, so each coordinate
 gradient is y_i w.x_i - 1 at sparse cost, and alpha' Q alpha = ||w||^2.
 
+A row without features has Q_ii = 0 and a dual gradient of -1 whatever
+alpha is, so its coordinate starts at C, its optimum, and is never swept.
+
 Coordinates pinned at a bound with a gradient pushing further out are
 moved to a shrunk set and skipped in later sweeps.  When a sweep over the
 active set passes the tolerance test while coordinates are shrunk, one
@@ -36,18 +39,17 @@ class DualState:
     qdiag: np.ndarray
     C: float
     active: np.ndarray          # bool mask, True = still swept
-    n_zero_diag: int = 0        # coordinates with no features, never swept
+    n_zero_diag: int = 0        # coordinates with no features, at C, never swept
 
     @classmethod
     def init(cls, dataset: Dataset, C: float) -> DualState:
         if C <= 0:
             raise ValueError("C must be > 0")
-        n = len(dataset)
         qdiag = dataset.norms_sq.copy()
         active = qdiag > 0.0
-        return cls(alpha=np.zeros(n), w=np.zeros(dataset.n_features),
+        return cls(alpha=np.where(active, 0.0, C), w=np.zeros(dataset.n_features),
                    qdiag=qdiag, C=C, active=active,
-                   n_zero_diag=int(n - active.sum()))
+                   n_zero_diag=int(active.size - active.sum()))
 
     def dual_objective(self) -> float:
         return 0.5 * float(self.w @ self.w) - float(self.alpha.sum())
@@ -77,8 +79,8 @@ class SolveResult:
 
 
 def coordinate_gradient(state: DualState, dataset: Dataset, i: int) -> float:
-    inst = dataset.instances[i]
-    return inst.label * float(state.w[inst.indices] @ inst.values) - 1.0
+    y, idx, val = dataset.row(i)
+    return y * float(state.w[idx] @ val) - 1.0
 
 
 def projected_gradient(alpha_i: float, grad: float, C: float) -> float:
@@ -132,9 +134,9 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
     state = DualState.init(dataset, C)
     rng = np.random.default_rng(seed)
     result = SolveResult(state=state)
-    instances = dataset.instances
     alpha, w, qdiag = state.alpha, state.w, state.qdiag
     has_features = qdiag > 0.0
+    qd = qdiag.tolist()     # Python floats: scalar arithmetic beats numpy scalars
 
     def record(max_pg: float) -> None:
         result.curve.append((result.n_updates, result.n_evals,
@@ -148,19 +150,19 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
         to_shrink: list[int] = []
         for i in idx[rng.permutation(idx.size)].tolist():
             grad = coordinate_gradient(state, dataset, i)
-            alpha_i = alpha[i]
+            alpha_i = alpha.item(i)
             if use_shrinking and _shrink_candidate(alpha_i, grad, C, eps_shrink):
                 to_shrink.append(i)
                 continue
             pg = projected_gradient(alpha_i, grad, C)
             max_pg = max(max_pg, abs(pg))
             if pg != 0.0:
-                new = min(max(alpha_i - grad / qdiag[i], 0.0), C)
+                new = min(max(alpha_i - grad / qd[i], 0.0), C)
                 delta = new - alpha_i
                 if delta != 0.0:
                     alpha[i] = new
-                    inst = instances[i]
-                    w[inst.indices] += (delta * inst.label) * inst.values
+                    y, cols, vals = dataset.row(i)
+                    w[cols] += (delta * y) * vals
                     result.n_updates += 1
         result.n_evals += idx.size
         state.active[to_shrink] = False

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .dataio import Dataset, SparseInstance
+    from .dataio import Dataset
 
 SIGMOID_CLAMP = 1e-9
 
@@ -46,16 +46,13 @@ class PrimalModel:
         return cls(w=np.zeros(n_features), lam=lam, C=1.0 / (lam * n_instances))
 
 
-def _dot(w: np.ndarray, inst: "SparseInstance") -> float:
-    if inst.nnz and inst.indices[-1] >= w.shape[0]:
-        raise IndexError(
-            f"feature index {int(inst.indices[-1])} outside model dimension {w.shape[0]}")
-    return float(w[inst.indices] @ inst.values)
-
-
-def hinge_loss(model: PrimalModel, inst: "SparseInstance") -> float:
-    """max(1 - y * w.x, 0); never negative."""
-    return max(1.0 - inst.label * _dot(model.w, inst), 0.0)
+def hinge_loss(model: PrimalModel, dataset: "Dataset", i: int) -> float:
+    """max(1 - y * w.x, 0) on row i; never negative."""
+    w = model.w
+    if dataset.n_features > w.shape[0]:
+        raise IndexError(f"{dataset.n_features} features outside model dimension {len(w)}")
+    y, idx, val = dataset.row(i)
+    return max(1.0 - y * float(w[idx] @ val), 0.0)
 
 
 def svm_objective(model: PrimalModel, dataset: "Dataset") -> float:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import Dataset, SparseInstance
+from .dataio import Dataset
 from .linear_models import PrimalModel, hinge_loss, svm_objective
 
 PLAIN = "plain"
@@ -112,12 +112,12 @@ class CurvePoint:
     objective: float
 
 
-def pegasos_step(model: PrimalModel, insts: Sequence[SparseInstance], k: int,
+def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: int,
                  ledger: CostLedger | None = None, loss_weight: float = 1.0) -> PrimalModel:
-    """One projected subgradient step on the mean loss of a batch, in place.
+    """One projected subgradient step on the mean loss of a batch of rows.
 
     w <- (1 - eta*lam) w + (eta * loss_weight / |batch|) * sum y x over the
-    batch members whose hinge is active at the pre-step w, eta = 1/(lam*k)
+    batch rows whose hinge is active at the pre-step w, eta = 1/(lam*k)
     with k >= 1, then projection onto the ball of radius 1/sqrt(lam).
     loss_weight carries the inverse-probability factor for importance
     sampling; 1 otherwise.  Counts one update per call.
@@ -128,13 +128,14 @@ def pegasos_step(model: PrimalModel, insts: Sequence[SparseInstance], k: int,
     eta = 1.0 / (model.lam * k)
     # Margins must be read before the shrink factor rescales w.
     active = []
-    for inst in insts:
-        if inst.label * float(w[inst.indices] @ inst.values) < 1.0:
-            active.append(inst)
+    for i in rows:
+        y, idx, val = row = dataset.row(i)
+        if y * float(w[idx] @ val) < 1.0:
+            active.append(row)
     w *= 1.0 - eta * model.lam
-    scale = eta * loss_weight / len(insts)
-    for inst in active:
-        w[inst.indices] += (scale * inst.label) * inst.values
+    scale = eta * loss_weight / len(rows)
+    for y, idx, val in active:
+        w[idx] += (scale * y) * val
     radius = 1.0 / math.sqrt(model.lam)
     nw_sq = float(w @ w)
     if nw_sq > radius * radius:
@@ -144,23 +145,25 @@ def pegasos_step(model: PrimalModel, insts: Sequence[SparseInstance], k: int,
     return model
 
 
-def criterion_value(policy: BatchPolicy, model: PrimalModel, inst: SparseInstance) -> float:
-    """Shrink-criterion value for one arrival.
+def criterion_value(policy: BatchPolicy, model: PrimalModel, dataset: Dataset,
+                    i: int) -> float:
+    """Shrink-criterion value for arriving row i.
 
     loss: the hinge loss itself.  grad_norm: the loss-subgradient norm,
-    which for the hinge is ||x|| when active and 0 otherwise, so the cached
-    instance norm is reused instead of touching the features again.
+    which for the hinge is ||x|| when active and 0 otherwise, so the
+    dataset's cached row norm is reused.
     """
     if policy.criterion == "loss":
-        return hinge_loss(model, inst)
-    active = inst.label * float(model.w[inst.indices] @ inst.values) < 1.0
-    return math.sqrt(inst.norm_sq) if active else 0.0
+        return hinge_loss(model, dataset, i)
+    y, idx, val = dataset.row(i)
+    active = y * float(model.w[idx] @ val) < 1.0
+    return math.sqrt(dataset.norms_sq[i]) if active else 0.0
 
 
-def shrink_decide(policy: BatchPolicy, model: PrimalModel, inst: SparseInstance,
+def shrink_decide(policy: BatchPolicy, model: PrimalModel, dataset: Dataset, i: int,
                   rng: np.random.Generator,
                   ledger: CostLedger | None = None) -> bool:
-    """Keep (True) or skip (False) one arriving instance; counts one eval.
+    """Keep (True) or skip (False) arriving row i; counts one eval.
 
     sk keeps iff value >= T.  sk_bs keeps above-threshold arrivals and
     otherwise keeps with probability max(floor_prob, value/T).
@@ -169,7 +172,7 @@ def shrink_decide(policy: BatchPolicy, model: PrimalModel, inst: SparseInstance,
         raise PolicyError(f"shrink_decide not defined for policy {policy.kind!r}")
     if ledger is not None:
         ledger.n_evals += 1
-    value = criterion_value(policy, model, inst)
+    value = criterion_value(policy, model, dataset, i)
     keep = value >= policy.threshold
     if not keep and policy.kind == SK_BS:
         keep = bool(rng.random() < max(policy.floor_prob, value / policy.threshold))
@@ -228,7 +231,7 @@ def is_step(model: PrimalModel, policy: BatchPolicy, dataset: Dataset, k: int,
     j = min(j, len(policy.chunk) - 1)
     i = int(policy.chunk[j])
     weight = 1.0 / (len(policy.chunk) * float(policy.probs[j]))
-    pegasos_step(model, (dataset.instances[i],), k, ledger, loss_weight=weight)
+    pegasos_step(model, dataset, (i,), k, ledger, loss_weight=weight)
     policy.since_refresh += 1
     return i
 
@@ -294,16 +297,15 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
     arrival = 0
     work_start = time.perf_counter()
     for _ in range(n_epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             arrival += 1
-            inst = dataset.instances[i]
             if decide:
-                keep = shrink_decide(policy, model, inst, rng, ledger)
+                keep = shrink_decide(policy, model, dataset, i, rng, ledger)
             else:
                 ledger.n_evals += 1
                 keep = True
             if keep:
-                pegasos_step(model, (inst,), ledger.n_updates + 1, ledger)
+                pegasos_step(model, dataset, (i,), ledger.n_updates + 1, ledger)
             if next_snap < len(schedule) and arrival == schedule[next_snap]:
                 ledger.elapsed += time.perf_counter() - work_start
                 snapshot()

@@ -16,7 +16,8 @@ import numpy as np
 from shrinkopt.autoassist import (AssistantModel, PegasosBoss, PipelineConfig,
                                   accept_candidate, run_async,
                                   run_interleaved, run_plain_loop)
-from shrinkopt.dataio import SparseInstance, synth_strongly_convex, synth_svm
+from shrinkopt.dataio import (Dataset, SparseInstance, synth_strongly_convex,
+                              synth_svm)
 from shrinkopt.dual_cd import solve as dual_solve
 from shrinkopt.experiments import run_experiment
 from shrinkopt.linear_models import (PrimalModel, cross_entropy, hinge_loss,
@@ -127,14 +128,14 @@ def test_c4_dual_solver_consistency():
 
 def test_c5_acceptance_law_on_gamma_g_grid():
     bias_for = {0.0: -50.0, 0.4: math.log(0.4 / 0.6), 1.0: 50.0}
-    inst = SparseInstance(1, np.array([0], dtype=np.int64), np.array([0.0]))
+    x = Dataset([SparseInstance(1, np.array([0], dtype=np.int64), np.array([0.0]))])
     rng = np.random.default_rng(123)
     worst = 0.0
     for gamma in (0.0, 0.1, 0.5, 1.0):
         for g, bias in bias_for.items():
             a = AssistantModel.zeros(2, gamma=gamma, bias=bias)
             draws = rng.random(100_000)
-            rate = np.mean([accept_candidate(a, inst, float(c)) for c in draws])
+            rate = np.mean([accept_candidate(a, x, 0, float(c)) for c in draws])
             worst = max(worst, abs(rate - (gamma + (1.0 - gamma) * g)))
     ok = worst <= 0.01
     _report("criterion 5", ok,
@@ -224,20 +225,21 @@ def test_c8_gradients_match_central_differences():
         lam, k = 0.01, 100   # eta = 1/(lam k) = 1, and no projection fires
         model = PrimalModel(rng.normal(size=dim), lam=lam, C=0.1)
         idx = np.sort(rng.choice(dim, size=4, replace=False)).astype(np.int64)
-        inst = SparseInstance(int(rng.choice([-1, 1])), idx,
-                              rng.normal(size=4))
-        if abs(inst.label * float(model.w[idx] @ inst.values) - 1.0) < 1e-3:
+        x = Dataset([SparseInstance(int(rng.choice([-1, 1])), idx,
+                                    rng.normal(size=4))], n_features=dim)
+        y, _, vals = x.row(0)
+        if abs(y * float(model.w[idx] @ vals) - 1.0) < 1e-3:
             continue
         stepped = PrimalModel(model.w.copy(), lam=lam, C=0.1)
-        pegasos_step(stepped, (inst,), k)
+        pegasos_step(stepped, x, (0,), k)
         assert float(np.linalg.norm(stepped.w)) < 1.0 / math.sqrt(lam)
         # w_new = (1 - 1/k) w - eta g
         grad = ((1.0 - 1.0 / k) * model.w - stepped.w) * (lam * k)
         for j in range(dim):
             model.w[j] += h
-            up = hinge_loss(model, inst)
+            up = hinge_loss(model, x, 0)
             model.w[j] -= 2 * h
-            dn = hinge_loss(model, inst)
+            dn = hinge_loss(model, x, 0)
             model.w[j] += h
             worst = max(worst, abs(grad[j] - (up - dn) / (2 * h)))
         checked += 1
@@ -247,22 +249,22 @@ def test_c8_gradients_match_central_differences():
         a = AssistantModel(phi=rng.normal(size=dim), bias=float(rng.normal()),
                            learning_rate=1.0)
         idx = np.sort(rng.choice(dim, size=3, replace=False)).astype(np.int64)
-        inst = SparseInstance(1, idx, rng.normal(size=3))
+        x = Dataset([SparseInstance(1, idx, rng.normal(size=3))], n_features=dim)
         z = int(rng.integers(2))
         b = AssistantModel(phi=a.phi.copy(), bias=a.bias, learning_rate=1.0)
-        b.train_on_pair(inst, z)
+        b.train_on_pair(x, 0, z)
         gvec, gb = a.phi - b.phi, a.bias - b.bias
         for j in range(dim):
             a.phi[j] += h
-            up = cross_entropy(a.score(inst), z)
+            up = cross_entropy(a.score(x, 0), z)
             a.phi[j] -= 2 * h
-            dn = cross_entropy(a.score(inst), z)
+            dn = cross_entropy(a.score(x, 0), z)
             a.phi[j] += h
             worst = max(worst, abs(gvec[j] - (up - dn) / (2 * h)))
         a.bias += h
-        up = cross_entropy(a.score(inst), z)
+        up = cross_entropy(a.score(x, 0), z)
         a.bias -= 2 * h
-        dn = cross_entropy(a.score(inst), z)
+        dn = cross_entropy(a.score(x, 0), z)
         a.bias += h
         worst = max(worst, abs(gb - (up - dn) / (2 * h)))
 

@@ -16,15 +16,16 @@ from shrinkopt.autoassist import (METRIC_KEYS, AssistantModel, BossBatch,
                                   boss_step, label_from_loss, run_async,
                                   run_interleaved, run_plain_loop,
                                   sample_batch)
-from shrinkopt.dataio import SparseInstance, synth_svm
+from shrinkopt.dataio import Dataset, SparseInstance, synth_svm
 from shrinkopt.linear_models import (SIGMOID_CLAMP, ComponentProblem,
                                      PrimalModel, cross_entropy)
 from shrinkopt.primal_sgd import pegasos_step
 
 
-def _inst(label, indices, values):
-    return SparseInstance(label, np.array(indices, dtype=np.int64),
-                          np.array(values, dtype=float))
+def _row(label, indices, values):
+    """A one-row Dataset; the assistant reads its row 0."""
+    return Dataset([SparseInstance(label, np.array(indices, dtype=np.int64),
+                                   np.array(values, dtype=float))])
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +98,27 @@ def test_threshold_validation():
 
 def test_assistant_score_at_zero_weights():
     a = AssistantModel.zeros(5)
-    assert a.score(_inst(1, [0, 3], [1.0, -2.0])) == 0.5
+    assert a.score(_row(1, [0, 3], [1.0, -2.0]), 0) == 0.5
 
 
 def test_assistant_score_is_clamped():
     a = AssistantModel.zeros(3, bias=100.0)
-    assert a.score(_inst(1, [0], [1.0])) == 1.0 - SIGMOID_CLAMP
+    assert a.score(_row(1, [0], [1.0]), 0) == 1.0 - SIGMOID_CLAMP
     a.bias = -100.0
-    assert a.score(_inst(1, [0], [1.0])) == SIGMOID_CLAMP
+    assert a.score(_row(1, [0], [1.0]), 0) == SIGMOID_CLAMP
 
 
 def test_assistant_label_feature_shifts_logit():
     a = AssistantModel.zeros(3, use_label_feature=True, label_weight=2.0)
-    pos = a.score(_inst(1, [0], [0.0]))
-    neg = a.score(_inst(-1, [0], [0.0]))
+    pos = a.score(_row(1, [0], [0.0]), 0)
+    neg = a.score(_row(-1, [0], [0.0]), 0)
     assert pos == pytest.approx(1.0 / (1.0 + math.exp(-2.0)))
     assert neg == pytest.approx(1.0 / (1.0 + math.exp(2.0)))
 
 
 def test_assistant_train_step_from_zero():
     a = AssistantModel.zeros(4, learning_rate=0.1)
-    a.train_on_pair(_inst(1, [1, 2], [2.0, -1.0]), 1)
+    a.train_on_pair(_row(1, [1, 2], [2.0, -1.0]), 0, 1)
     # p=0.5, err=-0.5: phi gains lr*0.5*x on the support, bias gains lr*0.5
     np.testing.assert_allclose(a.phi, [0.0, 0.1, -0.05, 0.0])
     assert a.bias == pytest.approx(0.05)
@@ -126,33 +127,33 @@ def test_assistant_train_step_from_zero():
 def test_assistant_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     a = AssistantModel(phi=rng.normal(size=6), bias=0.3, learning_rate=1.0)
-    inst = _inst(1, [0, 2, 5], [0.8, -1.1, 0.4])
+    x = _row(1, [0, 2, 5], [0.8, -1.1, 0.4])
     for z in (0, 1):
         before = a.phi.copy()
         bias_before = a.bias
         b = AssistantModel(phi=before.copy(), bias=bias_before, learning_rate=1.0)
-        b.train_on_pair(inst, z)
+        b.train_on_pair(x, 0, z)
         step_phi = before - b.phi
         step_bias = bias_before - b.bias
         h = 1e-6
-        for j in inst.indices:
+        for j in x.indices:
             a.phi[j] += h
-            up = cross_entropy(a.score(inst), z)
+            up = cross_entropy(a.score(x, 0), z)
             a.phi[j] -= 2 * h
-            dn = cross_entropy(a.score(inst), z)
+            dn = cross_entropy(a.score(x, 0), z)
             a.phi[j] += h
             assert step_phi[j] == pytest.approx((up - dn) / (2 * h), abs=1e-5)
         a.bias += h
-        up = cross_entropy(a.score(inst), z)
+        up = cross_entropy(a.score(x, 0), z)
         a.bias -= 2 * h
-        dn = cross_entropy(a.score(inst), z)
+        dn = cross_entropy(a.score(x, 0), z)
         a.bias += h
         assert step_bias == pytest.approx((up - dn) / (2 * h), abs=1e-5)
 
 
 def test_assistant_zero_learning_rate_is_frozen():
     a = AssistantModel.zeros(3, learning_rate=0.0, bias=0.2)
-    a.train_on_pair(_inst(1, [0], [1.0]), 1)
+    a.train_on_pair(_row(1, [0], [1.0]), 0, 1)
     assert a.bias == 0.2
     np.testing.assert_array_equal(a.phi, np.zeros(3))
 
@@ -169,14 +170,14 @@ def test_assistant_validation():
 def test_train_step_uses_pre_report_threshold():
     a = AssistantModel.zeros(2, learning_rate=0.1,
                              threshold=ThresholdPolicy(kind="quantile", T=0.5))
-    insts = [_inst(1, [0], [1.0])]
+    ds = _row(1, [0], [1.0])
     # loss 2.0 > initial T 0.5, so the target is 1 and the bias moves up
-    assistant_train_step(a, LossReport([(0, 2.0)], seq=0), insts)
+    assistant_train_step(a, LossReport([(0, 2.0)], seq=0), ds)
     assert a.bias > 0.0
     assert a.threshold.current == 2.0
     # next report is labeled against the refreshed T, not the one it implies
     b0 = a.bias
-    assistant_train_step(a, LossReport([(0, 1.0)], seq=1), insts)
+    assistant_train_step(a, LossReport([(0, 1.0)], seq=1), ds)
     assert a.bias < b0
     assert a.threshold.current == 1.5
     assert a.n_reports == 2
@@ -184,10 +185,10 @@ def test_train_step_uses_pre_report_threshold():
 
 def test_train_step_rejects_out_of_order_reports():
     a = AssistantModel.zeros(2)
-    insts = [_inst(1, [0], [1.0])]
-    assistant_train_step(a, LossReport([(0, 1.0)], seq=3), insts)
+    ds = _row(1, [0], [1.0])
+    assistant_train_step(a, LossReport([(0, 1.0)], seq=3), ds)
     with pytest.raises(ValueError):
-        assistant_train_step(a, LossReport([(0, 1.0)], seq=3), insts)
+        assistant_train_step(a, LossReport([(0, 1.0)], seq=3), ds)
 
 
 # ---------------------------------------------------------------------------
@@ -196,41 +197,42 @@ def test_train_step_rejects_out_of_order_reports():
 
 def test_accept_candidate_two_stage_rule():
     a = AssistantModel.zeros(2, gamma=0.5)   # g = 0.5 everywhere
-    inst = _inst(1, [0], [0.0])
-    assert accept_candidate(a, inst, 0.3)        # base stage
-    assert accept_candidate(a, inst, 0.6)        # rescaled 0.2 < 0.5
-    assert not accept_candidate(a, inst, 0.9)    # rescaled 0.8 >= 0.5
+    x = _row(1, [0], [0.0])
+    assert accept_candidate(a, x, 0, 0.3)        # base stage
+    assert accept_candidate(a, x, 0, 0.6)        # rescaled 0.2 < 0.5
+    assert not accept_candidate(a, x, 0, 0.9)    # rescaled 0.8 >= 0.5
     a.gamma = 1.0
-    assert accept_candidate(a, inst, 0.999)
+    assert accept_candidate(a, x, 0, 0.999)
 
 
 def test_accept_candidate_rate_matches_mixture():
     # g fixed at 0.4 via the bias, gamma=0.1: rate = 0.1 + 0.9*0.4 = 0.46
     a = AssistantModel.zeros(2, gamma=0.1, bias=math.log(0.4 / 0.6))
-    inst = _inst(1, [0], [0.0])
+    x = _row(1, [0], [0.0])
     rng = np.random.default_rng(7)
     n = 40_000
-    hits = sum(accept_candidate(a, inst, float(c)) for c in rng.random(n))
+    hits = sum(accept_candidate(a, x, 0, float(c)) for c in rng.random(n))
     assert hits / n == pytest.approx(0.46, abs=0.01)
 
 
 def test_accept_candidate_degenerate_scorer():
     a = AssistantModel.zeros(2, gamma=0.1, bias=50.0)
-    inst = _inst(1, [0], [1.0])
+    x = _row(1, [0], [1.0])
     rng = np.random.default_rng(0)
-    assert all(accept_candidate(a, inst, float(c)) for c in rng.random(1000))
+    assert all(accept_candidate(a, x, 0, float(c)) for c in rng.random(1000))
 
 
 def test_sample_batch_exact_size_and_stats():
     ds = synth_svm(30, 4, margin=1.0, flip_prob=0.0, seed=0)
     a = AssistantModel.zeros(4, gamma=1.0)
     stats = SamplerStats()
-    batch = sample_batch(a, ds, 6, np.random.default_rng(1), stats=stats)
-    assert len(batch.indices) == len(batch.instances) == 6
+    batch = sample_batch(a, ds, 6, np.random.default_rng(1), stats=stats, seq=3)
+    assert len(batch.indices) == 6 and batch.seq == 3
     assert stats.candidates == stats.accepted == 6
     assert stats.starvation_events == 0
-    for i, inst in zip(batch.indices, batch.instances):
-        assert inst is ds.instances[i]
+    # the batch names rows of the dataset; the boss reads them from its arrays
+    assert all(type(i) is int and 0 <= i < len(ds) for i in batch.indices)
+    assert ds._rows is None
 
 
 def test_sample_batch_permutation_head():
@@ -353,7 +355,7 @@ def test_pegasos_boss_single_batch_matches_step():
     ref = PrimalModel.zeros(6, 0.1, 40)
     for k, i in enumerate((3, 17, 3, 25), start=1):
         boss.update([i])
-        pegasos_step(ref, (ds.instances[i],), k)
+        pegasos_step(ref, ds, (i,), k)
         np.testing.assert_array_equal(boss.model.w, ref.w)
     assert boss.version == 4
 
@@ -382,7 +384,7 @@ def test_boss_step_reports_pre_update_losses():
     boss.update([0, 1])
     before = boss.losses([4, 9, 4])
     v = boss.version
-    report = boss_step(boss, BossBatch([4, 9, 4], [ds.instances[i] for i in (4, 9, 4)], seq=7))
+    report = boss_step(boss, BossBatch([4, 9, 4], seq=7))
     # duplicates report one pair per occurrence, against the old model
     assert report.pairs == [(4, before[0]), (9, before[1]), (4, before[2])]
     assert report.version == v
@@ -393,7 +395,7 @@ def test_boss_step_reports_pre_update_losses():
 def test_boss_step_rejects_empty_batch():
     ds = synth_svm(5, 3, margin=1.0, flip_prob=0.0, seed=0)
     with pytest.raises(ValueError):
-        boss_step(PegasosBoss(ds, 0.1), BossBatch([], []))
+        boss_step(PegasosBoss(ds, 0.1), BossBatch([]))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +519,22 @@ def test_async_smoke():
     assert r.assistant.n_reports > 0
     assert r.throughput > 0
     assert sum(r.q_boss_hist.values()) == 40
+
+
+def test_drivers_keep_metric_lines_off_the_throughput_clock():
+    # a metric line reads the full objective; its time is reported, not
+    # counted against the boss
+    ds = synth_svm(300, 5, margin=0.5, flip_prob=0.1, seed=5)
+    cfg = _small_cfg(n_boss_steps=40, metrics_every=1)
+    for driver in (run_plain_loop, run_interleaved, run_async):
+        boss = PegasosBoss(ds, 0.1)
+        if driver is run_plain_loop:
+            r = driver(boss, cfg)
+        else:
+            r = driver(boss, AssistantModel.zeros(5, gamma=0.3), cfg)
+        assert r.failure is None and len(r.metrics) == 40
+        assert 0.0 < r.instrumentation_s < r.elapsed_s
+        assert r.throughput == r.steps_done / (r.elapsed_s - r.instrumentation_s)
 
 
 def test_async_worker_exception_reported():

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from shrinkopt import dataio, dual_cd
+from shrinkopt.autoassist import (AssistantModel, PegasosBoss, PipelineConfig,
+                                  QuadraticBoss, run_async, run_interleaved,
+                                  run_plain_loop)
 from shrinkopt.dataio import (Dataset, ParseError, SparseInstance, load_libsvm,
                               parse_libsvm, save_libsvm, synth_strongly_convex,
                               synth_svm, to_libsvm)
+from shrinkopt.primal_sgd import BatchPolicy, run_sgd
 
 
 def test_parse_single_line():
@@ -324,3 +328,29 @@ def test_synth_svm_dual_solver_separates():
     pred = np.sign(ds.X @ res.state.w)
     acc = float(np.mean(pred == ds.labels))
     assert acc == 1.0
+
+
+def test_solvers_and_drivers_build_no_rows():
+    # every solver path reads the CSR arrays; the row objects of
+    # Dataset.instances are never built on the way
+    ds = synth_svm(200, 5, margin=0.5, flip_prob=0.1, seed=1)
+    for kind, criterion in (("plain", "loss"), ("sk", "loss"), ("sk", "grad_norm"),
+                            ("sk_bs", "loss"), ("is", "loss")):
+        run_sgd(ds, BatchPolicy(kind=kind, threshold=0.1, criterion=criterion,
+                                chunk_size=50, refresh_period=20), 0.1, 1, seed=0)
+    for shrink in (True, False):
+        dual_cd.solve(ds, C=0.05, use_shrinking=shrink, seed=0)
+    cfg = PipelineConfig(batch_size=4, n_boss_steps=20, k_low_water=2, cap_boss=4,
+                         metrics_every=5, seed=0)
+    prob = synth_strongly_convex(30, 3, mu=1.0, spread=1.0, seed=0)
+    for make_boss in (lambda: PegasosBoss(ds, 0.1), lambda: QuadraticBoss(prob)):
+        for driver in (run_plain_loop, run_interleaved, run_async):
+            boss = make_boss()
+            if driver is run_plain_loop:
+                result = driver(boss, cfg)
+            else:
+                result = driver(boss, AssistantModel.zeros(boss.dataset.n_features), cfg)
+            assert result.failure is None and result.steps_done == 20
+            assert boss.dataset._rows is None, (type(boss).__name__, driver.__name__)
+    assert ds._rows is None
+    assert ds.instances is ds.instances and ds._rows is not None

@@ -69,11 +69,26 @@ def test_zero_diag_coordinate_rejected_and_skipped():
     state = DualState.init(ds, C=1.0)
     assert state.n_zero_diag == 1
     assert not state.active[0] and state.active[1]
+    # its dual gradient is -1 whatever alpha is, so it starts at C
+    assert state.alpha.tolist() == [1.0, 0.0]
     res = solve(ds, C=1.0, tol=1e-8)
     assert res.converged
-    assert res.state.alpha[0] == 0.0
+    assert res.state.alpha[0] == 1.0
     # one evaluation per sweep: the empty row is never visited
     assert res.n_evals == res.n_sweeps
+
+
+def test_duality_gap_closes_with_empty_rows():
+    # each empty row has hinge 1 at any w, so the primal counts C for it,
+    # and so must the dual
+    ds = parse_libsvm("+1 1:1.0 2:0.5\n-1\n+1 2:-1.0\n-1\n-1 1:0.3 3:2.0")
+    res = solve(ds, C=1.0, tol=1e-10)
+    assert res.converged
+    w = res.state.w
+    primal = svm_objective(res.primal_model(ds), ds)
+    dual = float(res.state.alpha.sum()) - 0.5 * float(w @ w)
+    assert dual == -res.state.dual_objective()
+    assert abs(primal - dual) <= 1e-9
 
 
 def test_shrink_candidate_rule():

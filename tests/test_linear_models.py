@@ -5,50 +5,51 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shrinkopt.dataio import SparseInstance, parse_libsvm, synth_svm
+from shrinkopt.dataio import Dataset, SparseInstance, parse_libsvm, synth_svm
 from shrinkopt.linear_models import (ComponentProblem, PrimalModel,
                                      cross_entropy, hinge_loss, svm_objective)
 from shrinkopt.primal_sgd import pegasos_step
 
 
-def _inst(indices, values, label=1.0):
-    return SparseInstance(label=label, indices=np.asarray(indices),
-                          values=np.asarray(values, dtype=float))
+def _row(indices, values, label=1.0):
+    """A one-row Dataset; the kernels read its row 0."""
+    return Dataset([SparseInstance(label=label, indices=np.asarray(indices),
+                                   values=np.asarray(values, dtype=float))])
 
 
 def _model(w, lam=0.1, C=1.0):
     return PrimalModel(w=np.asarray(w, dtype=float), lam=lam, C=C)
 
 
-def _step_loss_grad(w, inst, lam=0.01, k=100):
+def _step_loss_grad(w, ds, lam=0.01, k=100):
     """The loss subgradient pegasos_step applies at w, read back from the
     step: w_new = (1 - 1/k) w - eta g with eta = 1/(lam k), where k keeps
     the step inside the projection ball so no projection fires."""
     w = np.array(w, dtype=float)
     m = _model(w.copy(), lam=lam)
-    pegasos_step(m, (inst,), k)
+    pegasos_step(m, ds, (0,), k)
     assert float(np.linalg.norm(m.w)) < 1.0 / np.sqrt(lam)
     return ((1.0 - 1.0 / k) * w - m.w) * (lam * k)
 
 
 def test_hinge_loss_examples():
-    x = _inst([0], [1.0])
-    assert hinge_loss(_model([0.0]), x) == 1.0
-    assert hinge_loss(_model([2.0]), x) == 0.0
-    assert hinge_loss(_model([0.25]), x) == 0.75
+    x = _row([0], [1.0])
+    assert hinge_loss(_model([0.0]), x, 0) == 1.0
+    assert hinge_loss(_model([2.0]), x, 0) == 0.0
+    assert hinge_loss(_model([0.25]), x, 0) == 0.75
     # y * w.x = -0.5 -> loss 1.5
-    assert hinge_loss(_model([0.5]), _inst([0], [1.0], label=-1.0)) == 1.5
+    assert hinge_loss(_model([0.5]), _row([0], [1.0], label=-1.0), 0) == 1.5
 
 
 def test_hinge_dimension_overflow():
     with pytest.raises(IndexError, match="outside model dimension"):
-        hinge_loss(_model([1.0, 2.0]), _inst([5], [1.0]))
+        hinge_loss(_model([1.0, 2.0]), _row([5], [1.0]), 0)
 
 
 def test_hinge_subgradient_branches():
     # pegasos_step applies -y*x when y*w.x < 1 and nothing otherwise; at the
     # kink y*w.x = 1 the zero branch is chosen
-    x = _inst([0], [1.0])
+    x = _row([0], [1.0])
     np.testing.assert_array_equal(_step_loss_grad([2.0], x), [0.0])
     np.testing.assert_allclose(_step_loss_grad([0.0], x), [-1.0], rtol=1e-12)
     np.testing.assert_array_equal(_step_loss_grad([1.0], x), [0.0])
@@ -61,17 +62,18 @@ def test_hinge_subgradient_finite_differences():
         w = rng.standard_normal(dim)
         nnz = int(rng.integers(1, dim + 1))
         idx = np.sort(rng.choice(dim, size=nnz, replace=False))
-        inst = _inst(idx, rng.standard_normal(nnz),
-                     label=float(rng.choice([-1.0, 1.0])))
-        margin = inst.label * float(w[inst.indices] @ inst.values)
+        x = _row(idx, rng.standard_normal(nnz),
+                 label=float(rng.choice([-1.0, 1.0])))
+        y, cols, vals = x.row(0)
+        margin = y * float(w[cols] @ vals)
         if abs(margin - 1.0) < 1e-3:
             continue  # stay off the kink
-        dense = _step_loss_grad(w, inst)
+        dense = _step_loss_grad(w, x)
         for j in range(dim):
             wp, wm = w.copy(), w.copy()
             wp[j] += h
             wm[j] -= h
-            fd = (hinge_loss(_model(wp), inst) - hinge_loss(_model(wm), inst)) / (2 * h)
+            fd = (hinge_loss(_model(wp), x, 0) - hinge_loss(_model(wm), x, 0)) / (2 * h)
             assert abs(fd - dense[j]) < 1e-5
 
 
@@ -79,11 +81,12 @@ def test_hinge_nonnegative_zero_iff_margin():
     rng = np.random.default_rng(2)
     for _ in range(200):
         w = rng.standard_normal(4)
-        inst = _inst([0, 2], rng.standard_normal(2),
-                     label=float(rng.choice([-1.0, 1.0])))
-        loss = hinge_loss(_model(w), inst)
+        x = _row([0, 2], rng.standard_normal(2),
+                 label=float(rng.choice([-1.0, 1.0])))
+        loss = hinge_loss(_model(w), x, 0)
         assert loss >= 0.0
-        margin = inst.label * float(w[inst.indices] @ inst.values)
+        y, cols, vals = x.row(0)
+        margin = y * float(w[cols] @ vals)
         assert (loss == 0.0) == (margin >= 1.0)
 
 
@@ -106,8 +109,8 @@ def test_svm_objective_matches_naive_loop():
     for _ in range(10):
         m = _model(rng.standard_normal(8), C=0.37)
         naive = 0.5 * float(m.w @ m.w)
-        for inst in ds.instances:
-            naive += m.C * hinge_loss(m, inst)
+        for i in range(len(ds)):
+            naive += m.C * hinge_loss(m, ds, i)
         assert svm_objective(m, ds) == pytest.approx(naive, rel=1e-10)
 
 
@@ -121,7 +124,7 @@ def test_mean_loss_form_is_scaled_sum_form():
         m = PrimalModel.zeros(5, lam, len(ds))
         m.w = rng.standard_normal(5)
         mean_form = 0.5 * lam * float(m.w @ m.w) + np.mean(
-            [hinge_loss(m, inst) for inst in ds.instances])
+            [hinge_loss(m, ds, i) for i in range(len(ds))])
         assert mean_form == pytest.approx(lam * svm_objective(m, ds), rel=1e-12)
 
 
@@ -148,7 +151,7 @@ def test_primal_model_validation():
 def test_primal_model_copies_its_weights():
     w = np.array([0.5, -0.25])
     m = PrimalModel(w=w, lam=0.1, C=1.0)
-    pegasos_step(m, (_inst([0, 1], [1.0, 1.0]),), 1)
+    pegasos_step(m, _row([0, 1], [1.0, 1.0]), (0,), 1)
     np.testing.assert_array_equal(w, [0.5, -0.25])
     assert not np.array_equal(m.w, w)
 

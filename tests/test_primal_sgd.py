@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shrinkopt import dual_cd, primal_sgd
-from shrinkopt.dataio import SparseInstance, parse_libsvm, synth_svm
+from shrinkopt.dataio import Dataset, SparseInstance, parse_libsvm, synth_svm
 from shrinkopt.linear_models import PrimalModel, hinge_loss, svm_objective
 from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError,
                                   criterion_value, epoch_eval_schedule,
@@ -17,9 +17,12 @@ from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError,
                                   shrink_decide)
 
 
-def _inst(indices, values, label=1.0):
-    return SparseInstance(label=label, indices=np.asarray(indices),
-                          values=np.asarray(values, dtype=float))
+def _rows(*rows):
+    """A Dataset of (indices, values) rows labeled +1, or (indices, values,
+    label) rows."""
+    return Dataset([SparseInstance(label=r[2] if len(r) > 2 else 1.0,
+                                   indices=np.asarray(r[0]),
+                                   values=np.asarray(r[1], dtype=float)) for r in rows])
 
 
 def test_policy_validation():
@@ -47,9 +50,9 @@ def test_policy_labels():
 def test_step_size_formula_via_pure_shrink():
     # lam=1, k=2 -> eta=0.5; inactive hinge means pure shrink by (1 - eta*lam)
     m = PrimalModel(w=np.array([0.8, 0.0]), lam=1.0, C=1.0)
-    x = _inst([0], [2.0])  # margin = 0.8*2 = 1.6 >= 1, inactive
+    x = _rows(([0], [2.0]))  # margin = 0.8*2 = 1.6 >= 1, inactive
     led = CostLedger()
-    pegasos_step(m, (x,), k=2, ledger=led)
+    pegasos_step(m, x, (0,), k=2, ledger=led)
     np.testing.assert_allclose(m.w, [0.4, 0.0], rtol=1e-15)
     assert led.n_updates == 1
 
@@ -57,8 +60,8 @@ def test_step_size_formula_via_pure_shrink():
 def test_pegasos_step_active_update():
     lam = 0.5
     m = PrimalModel(w=np.zeros(2), lam=lam, C=1.0)
-    x = _inst([1], [3.0], label=-1.0)
-    pegasos_step(m, (x,), k=1)
+    x = _rows(([1], [3.0], -1.0))
+    pegasos_step(m, x, (0,), k=1)
     # eta = 1/lam = 2; w_new = 0 + eta * y * x then projection to 1/sqrt(lam)
     raw = np.array([0.0, 2.0 * -1.0 * 3.0])
     radius = 1.0 / math.sqrt(lam)
@@ -70,10 +73,9 @@ def test_pegasos_step_batch_mean_of_pre_step_margins():
     # first instance is active (margin 0), the second inactive (margin 2),
     # even though the first one's update would change the second's margin.
     m = PrimalModel(w=np.array([0.0, 1.0]), lam=1.0, C=1.0)
-    a = _inst([0], [1.0])
-    b = _inst([0, 1], [1.0, 2.0])
+    ab = _rows(([0], [1.0]), ([0, 1], [1.0, 2.0]))
     led = CostLedger()
-    pegasos_step(m, (a, b), k=2, ledger=led, loss_weight=3.0)
+    pegasos_step(m, ab, (0, 1), k=2, ledger=led, loss_weight=3.0)
     # (1 - 0.5) * [0, 1] + (0.5 * 3 / 2) * [1, 0]
     np.testing.assert_allclose(m.w, [0.75, 0.5], rtol=1e-15)
     assert led.n_updates == 1
@@ -82,7 +84,7 @@ def test_pegasos_step_batch_mean_of_pre_step_margins():
 def test_pegasos_step_rejects_bad_k():
     m = PrimalModel(w=np.zeros(1), lam=1.0, C=1.0)
     with pytest.raises(ValueError):
-        pegasos_step(m, (_inst([0], [1.0]),), k=0)
+        pegasos_step(m, _rows(([0], [1.0])), (0,), k=0)
 
 
 def test_projection_invariant_along_trajectory():
@@ -92,7 +94,7 @@ def test_projection_invariant_along_trajectory():
         m = PrimalModel.zeros(4, lam, len(ds))
         radius = 1.0 / math.sqrt(lam)
         for k in range(1, 300):
-            pegasos_step(m, (ds.instances[int(rng.integers(50))],), k)
+            pegasos_step(m, ds, (int(rng.integers(50)),), k)
             assert float(np.linalg.norm(m.w)) <= radius + 1e-12
 
 
@@ -114,29 +116,29 @@ def test_pegasos_approaches_dual_optimum():
 
 def test_criterion_value_loss_and_grad_norm():
     m = PrimalModel(w=np.array([0.5]), lam=1.0, C=1.0)
-    x = _inst([0], [1.0])  # margin 0.5, loss 0.5, active
-    assert criterion_value(BatchPolicy(kind="sk"), m, x) == 0.5
+    x = _rows(([0], [1.0]))  # margin 0.5, loss 0.5, active
+    assert criterion_value(BatchPolicy(kind="sk"), m, x, 0) == 0.5
     gpol = BatchPolicy(kind="sk", criterion="grad_norm")
-    assert criterion_value(gpol, m, x) == 1.0  # ||x||
+    assert criterion_value(gpol, m, x, 0) == 1.0  # ||x||
     # inactive arrival scores zero under both criteria
     far = PrimalModel(w=np.array([2.0]), lam=1.0, C=1.0)
-    assert criterion_value(BatchPolicy(kind="sk"), far, x) == 0.0
-    assert criterion_value(gpol, far, x) == 0.0
+    assert criterion_value(BatchPolicy(kind="sk"), far, x, 0) == 0.0
+    assert criterion_value(gpol, far, x, 0) == 0.0
 
 
 def test_shrink_decide_sk_threshold():
     rng = np.random.default_rng(0)
     led = CostLedger()
-    x = _inst([0], [1.0])
+    x = _rows(([0], [1.0]))
     pol = BatchPolicy(kind="sk", threshold=1.0)
     # loss 0.5 -> skip; loss 1.5 -> keep
     assert not shrink_decide(pol, PrimalModel(w=np.array([0.5]), lam=1, C=1),
-                             x, rng, led)
+                             x, 0, rng, led)
     assert shrink_decide(pol, PrimalModel(w=np.array([-0.5]), lam=1, C=1),
-                         x, rng, led)
+                         x, 0, rng, led)
     # boundary: value exactly T keeps
     assert shrink_decide(pol, PrimalModel(w=np.array([0.0]), lam=1, C=1),
-                         x, rng, led)
+                         x, 0, rng, led)
     assert led.n_evals == 3
 
 
@@ -145,18 +147,18 @@ def test_shrink_decide_wrong_kind():
     m = PrimalModel(w=np.zeros(1), lam=1, C=1)
     for kind in ("plain", "is"):
         with pytest.raises(PolicyError):
-            shrink_decide(BatchPolicy(kind=kind), m, _inst([0], [1.0]), rng)
+            shrink_decide(BatchPolicy(kind=kind), m, _rows(([0], [1.0])), 0, rng)
 
 
 def test_sk_bs_floor_rate_monte_carlo():
     # zero criterion value -> acceptance probability is exactly the floor
     pol = BatchPolicy(kind="sk_bs", threshold=1.0, floor_prob=0.1)
     m = PrimalModel(w=np.array([2.0]), lam=1, C=1)
-    x = _inst([0], [1.0])  # margin 2, loss 0
+    x = _rows(([0], [1.0]))  # margin 2, loss 0
     rng = np.random.default_rng(123)
     led = CostLedger()
     n = 10_000
-    keeps = sum(shrink_decide(pol, m, x, rng, led) for _ in range(n))
+    keeps = sum(shrink_decide(pol, m, x, 0, rng, led) for _ in range(n))
     assert abs(keeps / n - 0.1) < 0.01
     assert led.n_evals == n
 
@@ -165,10 +167,10 @@ def test_sk_bs_value_proportional_acceptance():
     # value/T = 0.46 beats the floor, so that is the acceptance rate
     pol = BatchPolicy(kind="sk_bs", threshold=1.0, floor_prob=0.1)
     m = PrimalModel(w=np.array([0.54]), lam=1, C=1)
-    x = _inst([0], [1.0])  # loss 0.46
+    x = _rows(([0], [1.0]))  # loss 0.46
     rng = np.random.default_rng(5)
     n = 20_000
-    keeps = sum(shrink_decide(pol, m, x, rng) for _ in range(n))
+    keeps = sum(shrink_decide(pol, m, x, 0, rng) for _ in range(n))
     assert abs(keeps / n - 0.46) < 0.01
 
 
@@ -214,10 +216,10 @@ def test_weighted_expectation_equals_chunk_mean():
     refresh_importance_weights(m, ds, pol, rng)
 
     def loss_grad(i):
-        inst = ds.instances[i]
+        y, cols, vals = ds.row(i)
         g = np.zeros(5)
-        if inst.label * float(m.w[inst.indices] @ inst.values) < 1.0:
-            g[inst.indices] = -inst.label * inst.values
+        if y * float(m.w[cols] @ vals) < 1.0:
+            g[cols] = -y * vals
         return g
 
     grads = np.array([loss_grad(int(i)) for i in pol.chunk])
@@ -248,7 +250,7 @@ def test_is_step_uniform_weight_matches_plain_step():
     for k in range(1, 30):
         u = rng2.random()
         j = min(int(np.searchsorted(pol._cdf, u, side="right")), 19)
-        pegasos_step(m2, (ds.instances[int(pol.chunk[j])],), k)
+        pegasos_step(m2, ds, (int(pol.chunk[j]),), k)
     np.testing.assert_array_equal(m.w, m2.w)
 
 
@@ -265,7 +267,7 @@ def test_is_step_degenerate_distribution():
     # inverse-probability weight is 1/(|C| * 1) = 0.5
     m2 = PrimalModel.zeros(2, 1.0, 2)
     for k in range(1, 51):
-        pegasos_step(m2, (ds.instances[0],), k, loss_weight=0.5)
+        pegasos_step(m2, ds, (0,), k, loss_weight=0.5)
     np.testing.assert_array_equal(m.w, m2.w)
 
 
@@ -346,7 +348,7 @@ def test_run_sgd_sk_reads_criterion_once_per_arrival(monkeypatch):
     calls = []
     real = primal_sgd.hinge_loss
     monkeypatch.setattr(primal_sgd, "hinge_loss",
-                        lambda m, inst: calls.append(1) or real(m, inst))
+                        lambda m, ds, i: calls.append(1) or real(m, ds, i))
     ds = synth_svm(120, 5, margin=1.0, flip_prob=0.1, seed=2)
     _, ledger, _ = run_sgd(ds, BatchPolicy(kind="sk", threshold=0.2), 0.1, 2, seed=0)
     assert 0 < ledger.n_updates < 240

@@ -219,6 +219,27 @@ def test_libsvm_round_trip_is_exact(rows):
     assert back.n_features == ds.n_features
 
 
+@settings(deadline=None)
+@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+@example(lengths=[0, 1, 300, 2, 0, 300, 1], seed=0)
+@example(lengths=[0], seed=1)
+def test_norms_sq_match_per_row_dot(lengths, seed):
+    # rows of many lengths, values from 1e-150 to 1e150 of either sign plus
+    # exact zeros: the bulk norm pass must give each row's own dot product
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    nnz = int(indptr[-1])
+    data = rng.choice([-1.0, 1.0], nnz) * 10.0 ** rng.uniform(-150.0, 150.0, nnz)
+    data[rng.random(nnz) < 0.05] = 0.0
+    indices = np.concatenate([np.zeros(0, np.int64)] + [
+        np.sort(rng.choice(400, size=n, replace=False)) for n in lengths])
+    ds = Dataset._from_csr(rng.choice([-1.0, 1.0], len(lengths)), indptr, indices, data)
+    expect = np.array([float(data[lo:hi] @ data[lo:hi])
+                       for lo, hi in zip(indptr[:-1], indptr[1:])])
+    assert _same_array(ds.norms_sq, expect)
+
+
 def _reference_chain(problem, idx, W0, shrink, record_ks):
     """One chain stepped on its own, the way the harness used to: the kept
     rows take a masked step, then rows past D are scaled back onto the ball."""
