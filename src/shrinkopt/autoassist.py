@@ -31,11 +31,11 @@ from .linear_models import (
     SIGMOID_CLAMP,
     ComponentProblem,
     PrimalModel,
-    hinge_loss,
+    hinge_loss,  # noqa: F401  (a module attribute the traced benchmark patches)
     sigmoid,
     svm_objective,
 )
-from .primal_sgd import pegasos_step
+from .primal_sgd import batch_forward, pegasos_step
 
 STARVATION_FACTOR = 100
 # run_async gives up on its workers once no boss step has completed for this
@@ -299,6 +299,20 @@ class IndexStream:
         self._pos += 1
         return i
 
+    def take(self, count: int) -> list[int]:
+        """The next count indices, the same as count calls to next()."""
+        if self._mode == "uniform":
+            return self._rng.integers(self._n, size=count).tolist()
+        out: list[int] = []
+        while len(out) < count:
+            if self._pos >= self._n:
+                self._perm = self._rng.permutation(self._n)
+                self._pos = 0
+            part = self._perm[self._pos:self._pos + count - len(out)]
+            self._pos += part.size
+            out += part.tolist()
+        return out
+
 
 @dataclass
 class SamplerStats:
@@ -365,12 +379,21 @@ class PegasosBoss:
         self.dataset = dataset
         self.model = PrimalModel.zeros(dataset.n_features, lam, len(dataset))
         self.version = 0
+        self._forward: tuple = (-1, None, None)     # (version, rows, BatchForward)
 
     def losses(self, indices) -> list[float]:
-        return [hinge_loss(self.model, self.dataset, i) for i in indices]
+        """The batch's hinge losses from one forward pass, which is kept for
+        an update of the same batch at the same version."""
+        rows = list(indices)
+        forward = batch_forward(self.model, self.dataset, rows)
+        self._forward = (self.version, rows, forward)
+        return np.maximum(1.0 - forward.margins, 0.0).tolist()
 
     def update(self, indices) -> None:
-        pegasos_step(self.model, self.dataset, indices, self.version + 1)
+        version, rows, forward = self._forward
+        if version != self.version or rows != list(indices):
+            forward = None
+        pegasos_step(self.model, self.dataset, indices, self.version + 1, forward=forward)
         self.version += 1
 
     def objective(self) -> float:
@@ -692,8 +715,7 @@ def run_plain_loop(boss, config: PipelineConfig) -> PipelineResult:
     instrumentation = 0.0
     t0 = time.perf_counter()
     for step in range(1, config.n_boss_steps + 1):
-        boss_step(boss, BossBatch([stream.next() for _ in range(config.batch_size)],
-                                  step - 1))
+        boss_step(boss, BossBatch(stream.take(config.batch_size), step - 1))
         if config.boss_cost_s:
             time.sleep(config.boss_cost_s)
         if step % config.metrics_every == 0 or step == config.n_boss_steps:

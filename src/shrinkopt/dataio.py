@@ -33,7 +33,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,19 +87,28 @@ class SparseInstance:
         return int(self.indices.size)
 
 
-def _norms_sq(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Each row's ``values @ values``, all rows of one length in one stacked
-    matmul, which takes the same BLAS dot per row and so matches the
-    per-row product to the bit; an einsum or a reduceat sum does not."""
-    lengths = np.diff(indptr)
-    norms = np.zeros(lengths.size)
-    order = np.argsort(lengths, kind="stable")      # rows in order within a length
-    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        L = int(lengths[rows[0]])
+def segment_dots(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``a_s @ b_s`` for each segment s of the flat arrays a and b, which are
+    the segments of the given lengths back to back; an empty segment's dot
+    is 0.  All segments of one length go through one stacked matmul, which
+    takes the same BLAS dot per segment and so matches the per-segment
+    ``float(a_s @ b_s)`` to the bit; an einsum or a reduceat sum does not."""
+    n = lengths.size
+    L = int(lengths.max()) if n else 0
+    if n * L == a.size:             # every segment has length L
+        u, v = a.reshape(n, L), b.reshape(n, L)
+        return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+    out = np.zeros(n)
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(lengths, kind="stable")
+    for seg in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        L = int(lengths[seg[0]])
         if L:
-            v = data[indptr[rows, None] + np.arange(L)]
-            norms[rows] = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
-    return norms
+            pos = starts[seg, None] + np.arange(L)
+            u = a[pos]
+            v = u if b is a else b[pos]
+            out[seg] = np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+    return out
 
 
 def _first_invalid_row(labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
@@ -171,7 +180,15 @@ class Dataset:
         self._labels: np.ndarray | None = labels
         self._X: sp.csr_matrix | None = None
         self._rows: list[SparseInstance] | None = None
-        self._norms_sq = _norms_sq(indptr, data)
+        lengths = np.diff(indptr)
+        entries = slice(indptr[0], indptr[-1])
+        self._norms_sq = segment_dots(data[entries], data[entries], lengths)
+        self._lengths = lengths
+        # Rows all of one length L (dense rows, or a fixed nnz) are also held
+        # as (n, L) views, so gather takes them as blocks.
+        L = int(lengths[0])
+        self._blocks = ((indices[entries].reshape(-1, L), data[entries].reshape(-1, L))
+                        if L and (lengths == L).all() else None)
         # Python ints and floats: the per-arrival reads in row() stay cheap.
         self._bounds: list[int] = indptr.tolist()
         self._row_labels: list[float] = labels.tolist()
@@ -183,6 +200,27 @@ class Dataset:
         """Row i as (label, feature indices, values); the arrays are views."""
         lo, hi = self._bounds[i], self._bounds[i + 1]
         return self._row_labels[i], self.indices[lo:hi], self.data[lo:hi]
+
+    def gather(self, rows: Sequence[int]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The given rows, in the order given, as (labels, lengths, feature
+        indices, values).  The indices and values of the rows lie back to
+        back in two new arrays, the layout ``segment_dots`` reads."""
+        if self._blocks is not None:
+            r = np.array(rows, dtype=np.int64)
+            cols, vals = self._blocks
+            return self._labels[r], self._lengths[r], cols[r].ravel(), vals[r].ravel()
+        bounds = self._bounds
+        shift, lengths, total = [], [], 0
+        for i in rows:
+            lo, hi = bounds[i], bounds[i + 1]
+            shift.append(lo - total)
+            lengths.append(hi - lo)
+            total += hi - lo
+        lengths = np.array(lengths, dtype=np.int64)
+        pos = np.array(shift, dtype=np.int64).repeat(lengths) + np.arange(total)
+        return (np.array([self._row_labels[i] for i in rows]), lengths,
+                self.indices[pos], self.data[pos])
 
     @property
     def instances(self) -> list[SparseInstance]:

@@ -10,13 +10,15 @@ alpha is, so its coordinate starts at C, its optimum, and is never swept.
 
 Coordinates pinned at a bound with a gradient pushing further out are
 moved to a shrunk set and skipped in later sweeps.  When a sweep over the
-active set passes the tolerance test while coordinates are shrunk, one
-vectorized KKT pass computes every gradient, G = y * (X w) - 1, at the
-point about to be returned.  Convergence is declared only when the max
-projected gradient over all rows with features is below tol; otherwise
-the active set becomes every coordinate the shrink rule would not pin at
-G, and sweeps resume.  So shrinking can change the work done but never
-the optimality test the answer passes.
+active set passes the tolerance test, one vectorized KKT pass computes
+every gradient, G = y * (X w) - 1, at the point about to be returned: a
+sweep judges each coordinate before the later updates of that sweep, so
+its own test does not judge the returned point, shrunk or not.
+Convergence is declared only when the max projected gradient over all
+rows with features is below tol.  Otherwise sweeps resume: with shrinking,
+over every coordinate the shrink rule would not pin at G; without it,
+over every row with features.  So shrinking can change the work done but
+never the optimality test the answer passes.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ class SolveResult:
         return PrimalModel(w=self.state.w, lam=lam, C=self.state.C)
 
 
-def coordinate_gradient(state: DualState, dataset: Dataset, i: int) -> float:
-    y, idx, val = dataset.row(i)
-    return y * float(state.w[idx] @ val) - 1.0
+def coordinate_gradient(w: np.ndarray, row: tuple[float, np.ndarray, np.ndarray]) -> float:
+    """y * w.x - 1 for a row as ``Dataset.row`` returns it."""
+    y, idx, val = row
+    return y * float(w[idx] @ val) - 1.0
 
 
 def projected_gradient(alpha_i: float, grad: float, C: float) -> float:
@@ -122,11 +125,10 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
     over the active set drops below tol.
 
     With shrinking, bound-pinned coordinates collected during a sweep are
-    deactivated after it.  Once the active set passes the tol test with
-    coordinates shrunk, one KKT pass judges every row with features at the
-    current point: below tol it converges, otherwise the rows the shrink
-    rule would not pin there become the active set and sweeps resume.
-    With nothing shrunk the sweep's own test is final.
+    deactivated after it.  Once the active set passes the tol test, one KKT
+    pass judges every row with features at the current point: below tol it
+    converges.  Otherwise sweeps resume, and with shrinking the active set
+    becomes the rows the shrink rule would not pin there.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -149,7 +151,8 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
         max_pg = 0.0
         to_shrink: list[int] = []
         for i in idx[rng.permutation(idx.size)].tolist():
-            grad = coordinate_gradient(state, dataset, i)
+            row = dataset.row(i)
+            grad = coordinate_gradient(w, row)
             alpha_i = alpha.item(i)
             if use_shrinking and _shrink_candidate(alpha_i, grad, C, eps_shrink):
                 to_shrink.append(i)
@@ -161,7 +164,7 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
                 delta = new - alpha_i
                 if delta != 0.0:
                     alpha[i] = new
-                    y, cols, vals = dataset.row(i)
+                    y, cols, vals = row
                     w[cols] += (delta * y) * vals
                     result.n_updates += 1
         result.n_evals += idx.size
@@ -170,22 +173,20 @@ def solve(dataset: Dataset, C: float, tol: float = 1e-4, max_epochs: int = 1000,
         record(max_pg)
         if max_pg >= tol:
             continue
-        shrunk = np.flatnonzero(has_features & ~state.active)
         if use_shrinking:
-            result.shrunk_at_convergence = shrunk
-        if shrunk.size == 0:
-            result.converged = True
-            break
+            result.shrunk_at_convergence = np.flatnonzero(has_features & ~state.active)
         # KKT check at the point being returned, over every coordinate
         grad_all = dataset.labels * (dataset.X @ w) - 1.0
         result.n_evals += len(dataset)
-        kkt = float(np.abs(projected_gradients(alpha, grad_all, C))[has_features].max())
+        pg_all = np.abs(projected_gradients(alpha, grad_all, C))[has_features]
+        kkt = float(pg_all.max(initial=0.0))
         if kkt < tol:
             record(kkt)
             result.converged = True
             break
         result.n_failed_checks += 1
-        state.active = has_features & ~_shrink_candidates(alpha, grad_all, C,
-                                                          eps_shrink)
+        if use_shrinking:
+            state.active = has_features & ~_shrink_candidates(alpha, grad_all, C,
+                                                              eps_shrink)
         record(kkt)
     return result

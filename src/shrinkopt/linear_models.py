@@ -3,8 +3,8 @@
 Hinge loss and the L2-regularized SVM objective with penalty C on the loss
 sum (models also carry the strong-convexity modulus lambda of the
 equivalent mean-loss form, tied by C = 1/(lambda*N)), the clamped sigmoid
-and cross-entropy of the batch-filtering assistant, and finite sums of
-quadratics with certified convexity constants for the convergence harness.
+of the batch-filtering assistant, and finite sums of quadratics with
+certified convexity constants for the convergence harness.
 
 All operations are pure given their inputs; models are value types.
 """
@@ -72,11 +72,6 @@ def sigmoid(z: float) -> float:
     return 1.0 / (1.0 + float(np.exp(-z)))
 
 
-def cross_entropy(p: float, z: int) -> float:
-    p = min(max(p, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
-    return -(z * np.log(p) + (1 - z) * np.log(1.0 - p))
-
-
 @dataclass
 class ComponentProblem:
     """Finite sum F(w) = (1/N) sum_i f_i(w) of quadratics f_i(w) =
@@ -138,9 +133,6 @@ class ComponentProblem:
     def value(self, w: np.ndarray) -> float:
         d = w[None, :] - self.centers
         return 0.5 * self.mu * float(np.mean(np.einsum("ij,ij->i", d, d)))
-
-    def value_star(self) -> float:
-        return self.value(self._w_star)
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """Projection onto the admissible ball of radius D."""

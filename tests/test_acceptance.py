@@ -20,7 +20,7 @@ from shrinkopt.dataio import (Dataset, SparseInstance, synth_strongly_convex,
                               synth_svm)
 from shrinkopt.dual_cd import solve as dual_solve
 from shrinkopt.experiments import run_experiment
-from shrinkopt.linear_models import (PrimalModel, cross_entropy, hinge_loss,
+from shrinkopt.linear_models import (SIGMOID_CLAMP, PrimalModel, hinge_loss,
                                      svm_objective)
 from shrinkopt.primal_sgd import (BatchPolicy, epoch_eval_schedule,
                                   pegasos_step, run_sgd)
@@ -37,6 +37,13 @@ def _first_hit(curve, target: float):
         if p.objective <= target:
             return p.n_updates, p.elapsed
     return None, None
+
+
+def _cross_entropy(p, z):
+    """The Assistant's log loss on one pair, the function train_on_pair
+    descends; C8's oracle."""
+    p = min(max(p, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
+    return -(z * np.log(p) + (1 - z) * np.log(1.0 - p))
 
 
 def _pinned_optimum(dataset, lam: float) -> float:
@@ -256,15 +263,15 @@ def test_c8_gradients_match_central_differences():
         gvec, gb = a.phi - b.phi, a.bias - b.bias
         for j in range(dim):
             a.phi[j] += h
-            up = cross_entropy(a.score(x, 0), z)
+            up = _cross_entropy(a.score(x, 0), z)
             a.phi[j] -= 2 * h
-            dn = cross_entropy(a.score(x, 0), z)
+            dn = _cross_entropy(a.score(x, 0), z)
             a.phi[j] += h
             worst = max(worst, abs(gvec[j] - (up - dn) / (2 * h)))
         a.bias += h
-        up = cross_entropy(a.score(x, 0), z)
+        up = _cross_entropy(a.score(x, 0), z)
         a.bias -= 2 * h
-        dn = cross_entropy(a.score(x, 0), z)
+        dn = _cross_entropy(a.score(x, 0), z)
         a.bias += h
         worst = max(worst, abs(gb - (up - dn) / (2 * h)))
 

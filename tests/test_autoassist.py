@@ -17,9 +17,15 @@ from shrinkopt.autoassist import (METRIC_KEYS, AssistantModel, BossBatch,
                                   run_interleaved, run_plain_loop,
                                   sample_batch)
 from shrinkopt.dataio import Dataset, SparseInstance, synth_svm
-from shrinkopt.linear_models import (SIGMOID_CLAMP, ComponentProblem,
-                                     PrimalModel, cross_entropy)
+from shrinkopt.linear_models import SIGMOID_CLAMP, ComponentProblem, PrimalModel
 from shrinkopt.primal_sgd import pegasos_step
+
+
+def _cross_entropy(p, z):
+    """The Assistant's log loss on one pair, the function train_on_pair
+    descends; the oracle of the finite-difference checks."""
+    p = min(max(p, SIGMOID_CLAMP), 1.0 - SIGMOID_CLAMP)
+    return -(z * np.log(p) + (1 - z) * np.log(1.0 - p))
 
 
 def _row(label, indices, values):
@@ -138,15 +144,15 @@ def test_assistant_gradient_matches_finite_differences():
         h = 1e-6
         for j in x.indices:
             a.phi[j] += h
-            up = cross_entropy(a.score(x, 0), z)
+            up = _cross_entropy(a.score(x, 0), z)
             a.phi[j] -= 2 * h
-            dn = cross_entropy(a.score(x, 0), z)
+            dn = _cross_entropy(a.score(x, 0), z)
             a.phi[j] += h
             assert step_phi[j] == pytest.approx((up - dn) / (2 * h), abs=1e-5)
         a.bias += h
-        up = cross_entropy(a.score(x, 0), z)
+        up = _cross_entropy(a.score(x, 0), z)
         a.bias -= 2 * h
-        dn = cross_entropy(a.score(x, 0), z)
+        dn = _cross_entropy(a.score(x, 0), z)
         a.bias += h
         assert step_bias == pytest.approx((up - dn) / (2 * h), abs=1e-5)
 
@@ -277,6 +283,18 @@ def test_index_stream_uniform_mode():
     assert draws[0] == int(ref.integers(5))
 
 
+def test_index_stream_take_equals_successive_next_calls():
+    # slices of every size, across epoch ends, mixed with single draws
+    for mode in ("permutation", "uniform"):
+        a = IndexStream(7, np.random.default_rng(3), mode=mode)
+        b = IndexStream(7, np.random.default_rng(3), mode=mode)
+        for count in (3, 4, 1, 7, 16, 2, 0, 5):
+            got = a.take(count)
+            assert got == [b.next() for _ in range(count)], (mode, count)
+            assert all(type(i) is int for i in got)
+            assert a.next() == b.next()
+
+
 def test_index_stream_validation():
     with pytest.raises(ValueError):
         IndexStream(0, np.random.default_rng(0))
@@ -358,6 +376,26 @@ def test_pegasos_boss_single_batch_matches_step():
         pegasos_step(ref, ds, (i,), k)
         np.testing.assert_array_equal(boss.model.w, ref.w)
     assert boss.version == 4
+
+
+def test_pegasos_boss_update_reuses_only_a_matching_forward_pass():
+    # an update steps on its own batch at the current w, whichever batch
+    # and version the last losses call saw
+    ds = synth_svm(40, 6, margin=0.5, flip_prob=0.1, seed=8)
+    boss = PegasosBoss(ds, lam=0.1)
+    ref = PrimalModel.zeros(6, 0.1, 40)
+    for k, (seen, stepped) in enumerate((([1, 2], [1, 2]), ([3, 4], [5, 6]),
+                                          ([7, 7], [7, 7]), ([8], [8, 9])), start=1):
+        boss.losses(seen)
+        boss.update(stepped)
+        pegasos_step(ref, ds, stepped, k)
+        assert boss.model.w.tobytes() == ref.w.tobytes()
+    boss.losses([1, 2])
+    boss.update([1, 2])
+    boss.update([1, 2])                 # a second update steps from the new w
+    pegasos_step(ref, ds, [1, 2], 5)
+    pegasos_step(ref, ds, [1, 2], 6)
+    assert boss.model.w.tobytes() == ref.w.tobytes()
 
 
 def test_pegasos_boss_duplicate_indices_average():

@@ -12,8 +12,8 @@ from shrinkopt.autoassist import (AssistantModel, PegasosBoss, PipelineConfig,
                                   QuadraticBoss, run_async, run_interleaved,
                                   run_plain_loop)
 from shrinkopt.dataio import (Dataset, ParseError, SparseInstance, load_libsvm,
-                              parse_libsvm, save_libsvm, synth_strongly_convex,
-                              synth_svm, to_libsvm)
+                              parse_libsvm, save_libsvm, segment_dots,
+                              synth_strongly_convex, synth_svm, to_libsvm)
 from shrinkopt.primal_sgd import BatchPolicy, run_sgd
 
 
@@ -354,3 +354,33 @@ def test_solvers_and_drivers_build_no_rows():
             assert boss.dataset._rows is None, (type(boss).__name__, driver.__name__)
     assert ds._rows is None
     assert ds.instances is ds.instances and ds._rows is not None
+
+
+def test_segment_dots_match_per_segment_dot():
+    # 500 segments of each length 1 to 100, and the same segments shuffled
+    # into ragged order: every dot equals the segment's own BLAS dot
+    rng = np.random.default_rng(0)
+    for L in range(1, 101):
+        P, V = rng.standard_normal((2, 500, L)) * 10.0 ** rng.uniform(-5, 5, (2, 500, 1))
+        expect = np.array([float(P[i] @ V[i]) for i in range(500)])
+        got = segment_dots(P.ravel(), V.ravel(), np.full(500, L))
+        assert got.tobytes() == expect.tobytes(), L
+    lengths = rng.integers(0, 40, 300)
+    a, b = rng.standard_normal((2, int(lengths.sum())))
+    cuts = np.cumsum(lengths)[:-1]
+    expect = np.array([float(u @ v) for u, v in zip(np.split(a, cuts), np.split(b, cuts))])
+    assert segment_dots(a, b, lengths).tobytes() == expect.tobytes()
+
+
+def test_gather_returns_rows_back_to_back():
+    # ragged rows, and rows all of one length, which gather takes as blocks
+    ragged = parse_libsvm("+1 1:0.5 3:1.0\n-1\n-1 2:2.0\n+1 1:1 2:2 3:3\n")
+    dense = synth_svm(6, 3, margin=0.5, flip_prob=0.0, seed=0)
+    for ds in (ragged, dense):
+        rows = [3, 0, 2, 3, 1]
+        labels, lengths, cols, vals = ds.gather(rows)
+        parts = [ds.row(i) for i in rows]
+        assert labels.tolist() == [y for y, _, _ in parts]
+        assert lengths.tolist() == [idx.size for _, idx, _ in parts]
+        assert cols.tolist() == [j for _, idx, _ in parts for j in idx.tolist()]
+        assert vals.tolist() == [v for _, _, val in parts for v in val.tolist()]

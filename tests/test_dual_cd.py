@@ -20,7 +20,7 @@ def _w_from_alpha(ds, alpha):
 def test_first_update_clips_to_box():
     # alpha=0, w=0, Q_ii=1, C=1: gradient is -1, exact step hits the C bound
     ds = parse_libsvm("+1 1:1.0")
-    assert coordinate_gradient(DualState.init(ds, C=1.0), ds, 0) == -1.0
+    assert coordinate_gradient(DualState.init(ds, C=1.0).w, ds.row(0)) == -1.0
     res = solve(ds, C=1.0, max_epochs=1)
     assert res.n_updates == 1
     assert res.state.alpha[0] == 1.0
@@ -29,11 +29,13 @@ def test_first_update_clips_to_box():
 
 def test_zero_gradient_is_noop():
     # C=2: the first sweep moves alpha to 1 (interior), where y w.x = 1 and
-    # the gradient is 0, so the second sweep evaluates but does not update
+    # the gradient is 0, so the second sweep evaluates but does not update;
+    # the KKT check at the end evaluates the one row once more
     ds = parse_libsvm("+1 1:1.0")
     res = solve(ds, C=2.0, max_epochs=2, use_shrinking=False)
     assert res.converged
-    assert (res.n_sweeps, res.n_evals, res.n_updates) == (2, 2, 1)
+    assert (res.n_sweeps, res.n_evals, res.n_updates) == (2, 3, 1)
+    assert res.curve[-1][5] == 0.0
     assert res.state.alpha[0] == 1.0
 
 
@@ -57,7 +59,7 @@ def test_pg_zero_iff_update_noop():
         state.alpha = rng.choice([0.0, C, 0.0, 0.35], size=30)
         state.w = _w_from_alpha(ds, state.alpha)
         for i in range(30):
-            grad = coordinate_gradient(state, ds, i)
+            grad = coordinate_gradient(state.w, ds.row(i))
             alpha_i = float(state.alpha[i])
             pg = projected_gradient(alpha_i, grad, C)
             stepped = min(max(alpha_i - grad / state.qdiag[i], 0.0), C)
@@ -74,8 +76,9 @@ def test_zero_diag_coordinate_rejected_and_skipped():
     res = solve(ds, C=1.0, tol=1e-8)
     assert res.converged
     assert res.state.alpha[0] == 1.0
-    # one evaluation per sweep: the empty row is never visited
-    assert res.n_evals == res.n_sweeps
+    # one evaluation per sweep: the empty row is never visited; each KKT
+    # check evaluates both rows
+    assert res.n_evals == res.n_sweeps + 2 * (res.n_failed_checks + 1)
 
 
 def test_duality_gap_closes_with_empty_rows():
@@ -107,7 +110,7 @@ def test_shrink_pass_interior_untouched():
     state.alpha[:] = 0.5  # all interior
     state.w = _w_from_alpha(ds, state.alpha)
     for i in range(len(ds)):
-        grad = coordinate_gradient(state, ds, i)
+        grad = coordinate_gradient(state.w, ds.row(i))
         assert not dual_cd._shrink_candidate(0.5, grad, 1.0, 0.1)
         assert not dual_cd._shrink_candidate(0.5, 100.0 * grad, 1.0, 0.1)
 
@@ -170,8 +173,8 @@ def test_infinite_eps_matches_unshrunk_prefix():
     plain = solve(ds, C=0.1, tol=1e-6, use_shrinking=False, seed=0)
     inf_eps = solve(ds, C=0.1, tol=1e-6, use_shrinking=True,
                     eps_shrink=np.inf, seed=0)
-    # nothing is ever shrunk, so no KKT check runs and the two solves are
-    # the same solve, bit for bit (elapsed time aside)
+    # nothing is ever shrunk, so the two solves are the same solve, bit for
+    # bit (elapsed time aside), ending on the same passing KKT check
     assert inf_eps.shrunk_at_convergence.size == 0
     assert inf_eps.converged and plain.converged
     assert inf_eps.n_sweeps == plain.n_sweeps
@@ -179,7 +182,7 @@ def test_infinite_eps_matches_unshrunk_prefix():
         plain.n_evals, plain.n_updates, 0)
     assert inf_eps.state.alpha.tobytes() == plain.state.alpha.tobytes()
     assert inf_eps.state.w.tobytes() == plain.state.w.tobytes()
-    assert len(inf_eps.curve) == len(plain.curve) == plain.n_sweeps
+    assert len(inf_eps.curve) == len(plain.curve) == plain.n_sweeps + 1
     for a, b in zip(plain.curve, inf_eps.curve):
         assert a[:2] + a[3:] == b[:2] + b[3:]
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from shrinkopt.dataio import Dataset, SparseInstance, parse_libsvm, synth_svm
-from shrinkopt.linear_models import (ComponentProblem, PrimalModel,
-                                     cross_entropy, hinge_loss, svm_objective)
+from shrinkopt.linear_models import (ComponentProblem, PrimalModel, hinge_loss,
+                                     svm_objective)
 from shrinkopt.primal_sgd import pegasos_step
 
 
@@ -156,12 +156,6 @@ def test_primal_model_copies_its_weights():
     assert not np.array_equal(m.w, w)
 
 
-def test_cross_entropy_finite_at_extremes():
-    assert np.isfinite(cross_entropy(0.0, 1))
-    assert np.isfinite(cross_entropy(1.0, 0))
-    assert cross_entropy(0.5, 1) == pytest.approx(np.log(2.0))
-
-
 def test_component_problem_constants():
     rng = np.random.default_rng(7)
     centers = rng.standard_normal((12, 4))
@@ -198,7 +192,7 @@ def test_strong_convexity_and_pl_are_tight():
     # for this quadratic family both inequalities hold with equality
     rng = np.random.default_rng(10)
     prob = ComponentProblem.from_centers(rng.standard_normal((15, 4)), mu=1.3)
-    fstar = prob.value_star()
+    fstar = prob.value(prob.w_star)
     for _ in range(50):
         w = rng.standard_normal(4) * 3
         gap = prob.value(w) - fstar

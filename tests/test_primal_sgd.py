@@ -10,7 +10,7 @@ import pytest
 from shrinkopt import dual_cd, primal_sgd
 from shrinkopt.dataio import Dataset, SparseInstance, parse_libsvm, synth_svm
 from shrinkopt.linear_models import PrimalModel, hinge_loss, svm_objective
-from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError,
+from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError, batch_forward,
                                   criterion_value, epoch_eval_schedule,
                                   is_step, pegasos_step,
                                   refresh_importance_weights, run_sgd,
@@ -72,13 +72,26 @@ def test_pegasos_step_batch_mean_of_pre_step_margins():
     # lam=1, k=2 -> eta=0.5.  Both margins are read at the pre-step w: the
     # first instance is active (margin 0), the second inactive (margin 2),
     # even though the first one's update would change the second's margin.
-    m = PrimalModel(w=np.array([0.0, 1.0]), lam=1.0, C=1.0)
+    # The same holds when the step reuses a forward pass of the batch.
     ab = _rows(([0], [1.0]), ([0, 1], [1.0, 2.0]))
-    led = CostLedger()
-    pegasos_step(m, ab, (0, 1), k=2, ledger=led, loss_weight=3.0)
-    # (1 - 0.5) * [0, 1] + (0.5 * 3 / 2) * [1, 0]
-    np.testing.assert_allclose(m.w, [0.75, 0.5], rtol=1e-15)
-    assert led.n_updates == 1
+    for batched in (False, True):
+        m = PrimalModel(w=np.array([0.0, 1.0]), lam=1.0, C=1.0)
+        forward = batch_forward(m, ab, (0, 1)) if batched else None
+        led = CostLedger()
+        pegasos_step(m, ab, (0, 1), k=2, ledger=led, loss_weight=3.0, forward=forward)
+        # (1 - 0.5) * [0, 1] + (0.5 * 3 / 2) * [1, 0]
+        np.testing.assert_allclose(m.w, [0.75, 0.5], rtol=1e-15)
+        assert led.n_updates == 1
+
+
+def test_batched_step_leaves_inactive_rows_out():
+    # row 0 is inactive (margin 2) and covers column 0, where w holds -0.0;
+    # adding it at a zero coefficient would turn that entry into +0.0
+    m = PrimalModel(w=np.array([-0.0, 2.0, 0.0]), lam=1.0, C=1.0)
+    ds = _rows(([0, 1], [1.0, 1.0]), ([2], [1.0]))
+    pegasos_step(m, ds, (0, 1), k=2, forward=batch_forward(m, ds, (0, 1)))
+    assert math.copysign(1.0, m.w[0]) == -1.0
+    assert m.w[2] > 0.0
 
 
 def test_pegasos_step_rejects_bad_k():
