@@ -377,6 +377,7 @@ def test_gather_returns_rows_back_to_back():
     ragged = parse_libsvm("+1 1:0.5 3:1.0\n-1\n-1 2:2.0\n+1 1:1 2:2 3:3\n")
     dense = synth_svm(6, 3, margin=0.5, flip_prob=0.0, seed=0)
     for ds in (ragged, dense):
+        ds._labels = None       # gather reads the labels row() reads, not this cache
         rows = [3, 0, 2, 3, 1]
         labels, lengths, cols, vals = ds.gather(rows)
         parts = [ds.row(i) for i in rows]
