@@ -140,7 +140,7 @@ class AssistantModel:
         return self._g(*dataset.row(i))
 
     def _g(self, y: float, idx: np.ndarray, val: np.ndarray) -> float:
-        z = float(self.phi[idx] @ val) + self.bias
+        z = float(self.phi[idx].dot(val)) + self.bias
         if self.use_label_feature:
             z += self.label_weight * y
         p = sigmoid(z)

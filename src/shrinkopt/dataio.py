@@ -248,7 +248,14 @@ class Dataset:
 
     @property
     def X(self) -> sp.csr_matrix:
-        """CSR design matrix over ``data``, built on first use and cached."""
+        """CSR design matrix over ``data``, built on first use and cached.
+
+        It shares ``data`` but not the index arrays: scipy narrows them to
+        int32 copies, 4 bytes per nonzero.  That copy is kept on purpose.
+        Every objective snapshot runs ``X @ w``, and over int64 indices that
+        product took 7-15% longer on the 10k x 16 dense set and the 10k x
+        1e5 sparse set with 16 nonzeros per row (one BLAS thread).
+        """
         if self._X is None:
             self._X = sp.csr_matrix((self.data, self.indices, self.indptr),
                                     shape=(len(self), self.n_features))

@@ -83,7 +83,7 @@ class SolveResult:
 def coordinate_gradient(w: np.ndarray, row: tuple[float, np.ndarray, np.ndarray]) -> float:
     """y * w.x - 1 for a row as ``Dataset.row`` returns it."""
     y, idx, val = row
-    return y * float(w[idx] @ val) - 1.0
+    return y * float(w[idx].dot(val)) - 1.0
 
 
 def projected_gradient(alpha_i: float, grad: float, C: float) -> float:

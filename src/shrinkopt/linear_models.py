@@ -46,13 +46,18 @@ class PrimalModel:
         return cls(w=np.zeros(n_features), lam=lam, C=1.0 / (lam * n_instances))
 
 
-def hinge_loss(model: PrimalModel, dataset: "Dataset", i: int) -> float:
-    """max(1 - y * w.x, 0) on row i; never negative."""
+def hinge_loss(model: PrimalModel, dataset: "Dataset",
+               i: "int | tuple[float, np.ndarray, np.ndarray]") -> float:
+    """max(1 - y * w.x, 0) on row i; never negative.
+
+    i is a row index, or the row itself as ``dataset.row`` returns it, for a
+    caller that has read the row already and reuses that read.
+    """
     w = model.w
     if dataset.n_features > w.shape[0]:
         raise IndexError(f"{dataset.n_features} features outside model dimension {len(w)}")
-    y, idx, val = dataset.row(i)
-    return max(1.0 - y * float(w[idx] @ val), 0.0)
+    y, idx, val = i if isinstance(i, tuple) else dataset.row(i)
+    return max(1.0 - y * float(w[idx].dot(val)), 0.0)
 
 
 def svm_objective(model: PrimalModel, dataset: "Dataset") -> float:

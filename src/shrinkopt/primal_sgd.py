@@ -85,6 +85,8 @@ class BatchPolicy:
             raise ValueError("threshold must be >= 0")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        if self.refresh_period is not None and self.refresh_period < 1:
+            raise ValueError("refresh_period must be >= 1")
 
     @property
     def effective_refresh_period(self) -> int:
@@ -125,15 +127,28 @@ class BatchForward(NamedTuple):
 
 def batch_forward(model: PrimalModel, dataset: Dataset, rows: Sequence[int]) -> BatchForward:
     """Gather the rows once and take all their margins, bit-equal to each
-    row's own y * float(w[idx] @ val)."""
+    row's own y * float(w[idx].dot(val))."""
     y, lengths, cols, vals = dataset.gather(rows)
     return BatchForward(y, lengths, cols, vals,
                         y * segment_dots(model.w[cols], vals, lengths))
 
 
+class RowRead:
+    """One arrival's row as ``Dataset.row`` returns it, and whether its hinge
+    was active at the w it was read at.  The shrink decision fills it; a
+    kept arrival's step reuses it instead of reading the row again."""
+
+    __slots__ = ("row", "active")
+
+    def __init__(self) -> None:
+        self.row: tuple[float, np.ndarray, np.ndarray] | None = None
+        self.active = False
+
+
 def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: int,
                  ledger: CostLedger | None = None, loss_weight: float = 1.0,
-                 forward: BatchForward | None = None) -> PrimalModel:
+                 forward: BatchForward | None = None,
+                 read: RowRead | None = None) -> PrimalModel:
     """One projected subgradient step on the mean loss of a batch of rows.
 
     w <- (1 - eta*lam) w + (eta * loss_weight / |batch|) * sum y x over the
@@ -145,7 +160,9 @@ def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: i
     forward, when given, is ``batch_forward(model, dataset, rows)`` taken at
     the pre-step w.  The step then reuses its rows and margins and adds the
     active rows with one ``np.add.at`` in batch order, which leaves the same
-    w bytes as adding them one row at a time.  Without it each row is read
+    w bytes as adding them one row at a time.  read, when given, is the
+    single row of ``rows`` as a shrink decision read it at the pre-step w;
+    the step reuses its row and activity.  Without either, each row is read
     on its own, which costs less for a single row.
     """
     if k < 1:
@@ -155,11 +172,14 @@ def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: i
     scale = eta * loss_weight / len(rows)
     if forward is None:
         # Margins must be read before the shrink factor rescales w.
-        active = []
-        for i in rows:
-            y, idx, val = row = dataset.row(i)
-            if y * float(w[idx] @ val) < 1.0:
-                active.append(row)
+        if read is not None:
+            active = (read.row,) if read.active else ()
+        else:
+            active = []
+            for i in rows:
+                y, idx, val = row = dataset.row(i)
+                if y * float(w[idx].dot(val)) < 1.0:
+                    active.append(row)
         w *= 1.0 - eta * model.lam
         for y, idx, val in active:
             w[idx] += (scale * y) * val
@@ -170,7 +190,7 @@ def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: i
         w *= 1.0 - eta * model.lam
         np.add.at(w, cols[on], (scale * y).repeat(lengths)[on] * vals[on])
     radius = 1.0 / math.sqrt(model.lam)
-    nw_sq = float(w @ w)
+    nw_sq = w.dot(w)
     if nw_sq > radius * radius:
         w *= radius / math.sqrt(nw_sq)
     if ledger is not None:
@@ -179,33 +199,46 @@ def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: i
 
 
 def criterion_value(policy: BatchPolicy, model: PrimalModel, dataset: Dataset,
-                    i: int) -> float:
+                    i: int, read: RowRead | None = None) -> float:
     """Shrink-criterion value for arriving row i.
 
     loss: the hinge loss itself.  grad_norm: the loss-subgradient norm,
     which for the hinge is ||x|| when active and 0 otherwise, so the
-    dataset's cached row norm is reused.
+    dataset's cached row norm is reused.  The row is read once; read, when
+    given, receives it with its activity.  For the loss the activity is
+    hinge > 0, which for a finite margin m holds exactly when m < 1.  For
+    the norm it is the margin test itself: a row of stored zeros is active
+    with value 0.
     """
+    row = dataset.row(i)
     if policy.criterion == "loss":
-        return hinge_loss(model, dataset, i)
-    y, idx, val = dataset.row(i)
-    active = y * float(model.w[idx] @ val) < 1.0
-    return math.sqrt(dataset.norms_sq[i]) if active else 0.0
+        value = hinge_loss(model, dataset, row)
+        active = value > 0.0
+    else:
+        y, idx, val = row
+        active = y * float(model.w[idx].dot(val)) < 1.0
+        value = math.sqrt(dataset.norms_sq[i]) if active else 0.0
+    if read is not None:
+        read.row = row
+        read.active = active
+    return value
 
 
 def shrink_decide(policy: BatchPolicy, model: PrimalModel, dataset: Dataset, i: int,
                   rng: np.random.Generator,
-                  ledger: CostLedger | None = None) -> bool:
+                  ledger: CostLedger | None = None,
+                  read: RowRead | None = None) -> bool:
     """Keep (True) or skip (False) arriving row i; counts one eval.
 
     sk keeps iff value >= T.  sk_bs keeps above-threshold arrivals and
-    otherwise keeps with probability max(floor_prob, value/T).
+    otherwise keeps with probability max(floor_prob, value/T).  read, when
+    given, receives the row and activity the criterion read.
     """
     if policy.kind not in (SK, SK_BS):
         raise PolicyError(f"shrink_decide not defined for policy {policy.kind!r}")
     if ledger is not None:
         ledger.n_evals += 1
-    value = criterion_value(policy, model, dataset, i)
+    value = criterion_value(policy, model, dataset, i, read)
     keep = value >= policy.threshold
     if not keep and policy.kind == SK_BS:
         keep = bool(rng.random() < max(policy.floor_prob, value / policy.threshold))
@@ -246,13 +279,30 @@ def refresh_importance_weights(model: PrimalModel, dataset: Dataset,
     return policy
 
 
+def importance_draws(policy: BatchPolicy, rng: np.random.Generator, m: int
+                     ) -> tuple[list[int], list[float]]:
+    """m chunk members drawn from the current importance weights, with their
+    loss weights 1/(|chunk| * p_j).
+
+    The m uniforms come from one ``rng.random(m)``, the same doubles as m
+    one-at-a-time draws, and the lookups are the same IEEE operations taken
+    as arrays, so the draws equal m draws made one by one.
+    """
+    n_chunk = len(policy.chunk)
+    j = np.minimum(np.searchsorted(policy._cdf, rng.random(m), side="right"), n_chunk - 1)
+    return policy.chunk[j].tolist(), (1.0 / (n_chunk * policy.probs[j])).tolist()
+
+
 def is_step(model: PrimalModel, policy: BatchPolicy, dataset: Dataset, k: int,
-            rng: np.random.Generator, ledger: CostLedger | None = None) -> int:
+            rng: np.random.Generator, ledger: CostLedger | None = None,
+            draw: tuple[int, float] | None = None) -> int:
     """Draw one chunk member from the importance distribution and update.
 
     The loss gradient is scaled by 1/(|chunk| * p_i), which makes the
     expected weighted gradient equal the chunk's mean loss gradient.
-    Refuses to run on weights staler than the refresh period.
+    Refuses to run on weights staler than the refresh period.  draw, when
+    given, is a (row, weight) pair that ``importance_draws`` took from the
+    current weights; the step uses it instead of drawing.
     """
     if policy.kind != IS:
         raise PolicyError("is_step requires an importance policy")
@@ -260,10 +310,10 @@ def is_step(model: PrimalModel, policy: BatchPolicy, dataset: Dataset, k: int,
         raise PolicyError("importance weights never refreshed")
     if policy.since_refresh >= policy.effective_refresh_period:
         raise PolicyError("importance weights stale beyond the refresh period")
-    j = int(np.searchsorted(policy._cdf, rng.random(), side="right"))
-    j = min(j, len(policy.chunk) - 1)
-    i = int(policy.chunk[j])
-    weight = 1.0 / (len(policy.chunk) * float(policy.probs[j]))
+    if draw is None:
+        (i,), (weight,) = importance_draws(policy, rng, 1)
+    else:
+        i, weight = draw
     pegasos_step(model, dataset, (i,), k, ledger, loss_weight=weight)
     policy.since_refresh += 1
     return i
@@ -312,33 +362,40 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
         period = policy.effective_refresh_period
         refresh_importance_weights(model, dataset, policy, rng, ledger)
         work_start = time.perf_counter()
-        for arrival in range(1, total + 1):
+        arrival = 0
+        while arrival < total:
             if policy.since_refresh >= period:
                 ledger.elapsed += time.perf_counter() - work_start
                 refresh_importance_weights(model, dataset, policy, rng, ledger)
                 work_start = time.perf_counter()
-            is_step(model, policy, dataset, ledger.n_updates + 1, rng, ledger)
-            if next_snap < len(schedule) and arrival == schedule[next_snap]:
-                ledger.elapsed += time.perf_counter() - work_start
-                snapshot()
-                next_snap += 1
-                work_start = time.perf_counter()
+            # The draws stop at the next refresh, whose chunk comes from the
+            # same stream.
+            m = min(period - policy.since_refresh, total - arrival)
+            for draw in zip(*importance_draws(policy, rng, m)):
+                arrival += 1
+                is_step(model, policy, dataset, ledger.n_updates + 1, rng, ledger, draw)
+                if next_snap < len(schedule) and arrival == schedule[next_snap]:
+                    ledger.elapsed += time.perf_counter() - work_start
+                    snapshot()
+                    next_snap += 1
+                    work_start = time.perf_counter()
         ledger.elapsed += time.perf_counter() - work_start
         return model, ledger, curve
 
     decide = policy.kind in (SK, SK_BS)
+    read = RowRead() if decide else None
     arrival = 0
     work_start = time.perf_counter()
     for _ in range(n_epochs):
         for i in rng.permutation(n).tolist():
             arrival += 1
             if decide:
-                keep = shrink_decide(policy, model, dataset, i, rng, ledger)
+                keep = shrink_decide(policy, model, dataset, i, rng, ledger, read)
             else:
                 ledger.n_evals += 1
                 keep = True
             if keep:
-                pegasos_step(model, dataset, (i,), ledger.n_updates + 1, ledger)
+                pegasos_step(model, dataset, (i,), ledger.n_updates + 1, ledger, read=read)
             if next_snap < len(schedule) and arrival == schedule[next_snap]:
                 ledger.elapsed += time.perf_counter() - work_start
                 snapshot()

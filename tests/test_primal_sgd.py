@@ -10,9 +10,9 @@ import pytest
 from shrinkopt import dual_cd, primal_sgd
 from shrinkopt.dataio import Dataset, SparseInstance, parse_libsvm, synth_svm
 from shrinkopt.linear_models import PrimalModel, hinge_loss, svm_objective
-from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError, batch_forward,
-                                  criterion_value, epoch_eval_schedule,
-                                  is_step, pegasos_step,
+from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, PolicyError, RowRead,
+                                  batch_forward, criterion_value, epoch_eval_schedule,
+                                  importance_draws, is_step, pegasos_step,
                                   refresh_importance_weights, run_sgd,
                                   shrink_decide)
 
@@ -36,6 +36,8 @@ def test_policy_validation():
         BatchPolicy(kind="sk", threshold=-1.0)
     with pytest.raises(ValueError):
         BatchPolicy(kind="is", chunk_size=0)
+    with pytest.raises(ValueError, match="refresh_period"):
+        BatchPolicy(kind="is", refresh_period=0)
     assert BatchPolicy(kind="is").effective_refresh_period == 4096
     assert BatchPolicy(kind="is", chunk_size=64).effective_refresh_period == 64
     assert BatchPolicy(kind="is", refresh_period=7).effective_refresh_period == 7
@@ -137,6 +139,69 @@ def test_criterion_value_loss_and_grad_norm():
     far = PrimalModel(w=np.array([2.0]), lam=1.0, C=1.0)
     assert criterion_value(BatchPolicy(kind="sk"), far, x, 0) == 0.0
     assert criterion_value(gpol, far, x, 0) == 0.0
+
+
+def test_criterion_value_hands_over_its_row_and_activity():
+    x = _rows(([0], [1.0]), ([0, 1], [0.0, 0.0]), ([], []))
+    m = PrimalModel(w=np.array([0.5, -0.0]), lam=1.0, C=1.0)
+    gpol = BatchPolicy(kind="sk", criterion="grad_norm")
+    for pol in (BatchPolicy(kind="sk"), gpol):
+        for i in range(3):
+            read = RowRead()
+            criterion_value(pol, m, x, i, read)
+            assert read.active        # margins 0.5, 0 and 0: all active
+            y, idx, val = read.row
+            assert y == 1.0 and np.shares_memory(val, x.data) == (len(val) > 0)
+    # a row of stored zeros is active with a norm of 0: the activity is the
+    # margin test, not value > 0, and the kept step adds the row
+    read = RowRead()
+    assert criterion_value(gpol, m, x, 1, read) == 0.0 and read.active
+    far = PrimalModel(w=np.array([2.0, 0.0]), lam=1.0, C=1.0)
+    criterion_value(BatchPolicy(kind="sk"), far, x, 0, read)
+    assert not read.active
+
+
+def test_pegasos_step_with_read_matches_its_own_read():
+    # row 1 is a stored zero: adding it turns w[1] = -0.0 into +0.0
+    x = _rows(([0, 2], [1.0, -2.0]), ([1], [0.0]), ([2], [0.5], -1.0))
+    pol = BatchPolicy(kind="sk_bs", threshold=0.5, criterion="grad_norm")
+    for w0 in ([0.3, -0.0, 0.2], [-0.0, -0.0, -0.0], [2.0, 1.0, -3.0]):
+        for i in range(3):
+            a = PrimalModel(w=np.array(w0), lam=0.5, C=1.0)
+            b = PrimalModel(w=np.array(w0), lam=0.5, C=1.0)
+            read = RowRead()
+            criterion_value(pol, b, x, i, read)
+            pegasos_step(a, x, (i,), 3)
+            pegasos_step(b, x, (i,), 3, read=read)
+            assert a.w.tobytes() == b.w.tobytes()
+
+
+def test_run_sgd_kept_sk_arrival_reads_its_row_once(monkeypatch):
+    # the step reuses the row and activity its decision read
+    reads = []
+    real = Dataset.row
+    monkeypatch.setattr(Dataset, "row", lambda self, i: reads.append(i) or real(self, i))
+    ds = synth_svm(120, 5, margin=1.0, flip_prob=0.1, seed=2)
+    for kind, criterion in (("sk", "loss"), ("sk_bs", "loss"), ("sk", "grad_norm")):
+        reads.clear()
+        _, ledger, _ = run_sgd(ds, BatchPolicy(kind=kind, threshold=0.2, criterion=criterion),
+                               0.1, 2, seed=0, eval_schedule=[240])
+        assert 0 < ledger.n_updates <= 240
+        assert len(reads) == 240, (kind, criterion)
+
+
+def test_importance_draws_equal_one_at_a_time_draws():
+    ds = synth_svm(300, 5, margin=0.8, flip_prob=0.1, seed=5)
+    m = PrimalModel.zeros(5, 0.05, 300)
+    m.w[:] = np.random.default_rng(1).standard_normal(5)
+    pol = BatchPolicy(kind="is", chunk_size=100)
+    refresh_importance_weights(m, ds, pol, np.random.default_rng(0))
+    rows, weights = importance_draws(pol, np.random.default_rng(7), 257)
+    rng = np.random.default_rng(7)
+    for i, weight in zip(rows, weights):
+        j = min(int(np.searchsorted(pol._cdf, rng.random(), side="right")), 99)
+        assert (i, weight) == (int(pol.chunk[j]), 1.0 / (100 * float(pol.probs[j])))
+        assert type(i) is int and type(weight) is float
 
 
 def test_shrink_decide_sk_threshold():

@@ -8,6 +8,7 @@ answer is also checked against KKT conditions computed from scratch."""
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,14 +17,17 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from shrinkopt.autoassist import PegasosBoss, ThresholdPolicy  # noqa: E402
+from shrinkopt.autoassist import AssistantModel, PegasosBoss, ThresholdPolicy  # noqa: E402
 from shrinkopt.dual_cd import (_shrink_candidate, _shrink_candidates,  # noqa: E402
-                               projected_gradient, projected_gradients, solve)
+                               coordinate_gradient, projected_gradient,
+                               projected_gradients, solve)
 from shrinkopt.dataio import (Dataset, ParseError, SparseInstance,  # noqa: E402
                               parse_libsvm, to_libsvm)
-from shrinkopt.linear_models import (ComponentProblem, PrimalModel,  # noqa: E402
-                                     hinge_loss, sigmoid)
-from shrinkopt.primal_sgd import batch_forward, pegasos_step  # noqa: E402
+from shrinkopt.linear_models import (SIGMOID_CLAMP, ComponentProblem,  # noqa: E402
+                                     PrimalModel, hinge_loss, sigmoid, svm_objective)
+from shrinkopt.primal_sgd import (BatchPolicy, CostLedger, batch_forward,  # noqa: E402
+                                  criterion_value, pegasos_step,
+                                  refresh_importance_weights, run_sgd)
 from shrinkopt.theorem_harness import _run_chains, uniform_ball  # noqa: E402
 
 # Few distinct values, so windows are full of exact ties and zeros.
@@ -242,7 +246,7 @@ def test_norms_sq_match_per_row_dot(lengths, seed):
     assert _same_array(ds.norms_sq, expect)
 
 
-def _per_row_step(model, ds, rows, k):
+def _per_row_step(model, ds, rows, k, loss_weight=1.0):
     """The batch step taken one row at a time: read every row's margin,
     shrink w, add the active rows in batch order, project."""
     w = model.w
@@ -253,7 +257,7 @@ def _per_row_step(model, ds, rows, k):
         if y * float(w[idx] @ val) < 1.0:
             active.append(row)
     w *= 1.0 - eta * model.lam
-    scale = eta / len(rows)
+    scale = eta * loss_weight / len(rows)
     for y, idx, val in active:
         w[idx] += (scale * y) * val
     radius = 1.0 / np.sqrt(model.lam)
@@ -323,6 +327,144 @@ def test_batched_boss_step_matches_per_row_step(lengths, picks, w_kind, k, seed)
     assert boss.losses(rows) == expect
     boss.update(rows)
     assert boss.model.w.tobytes() == ref.w.tobytes()
+
+
+def _ragged_dataset(lengths, seed, d=8, scale=1.0):
+    """Rows of the given lengths over d columns, values of either sign with
+    exact zeros, and every fifth nonempty row all stored zeros."""
+    rng = np.random.default_rng(seed)
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    nnz = int(indptr[-1])
+    data = scale * rng.standard_normal(nnz)
+    data[rng.random(nnz) < 0.1] = 0.0
+    for r in range(0, len(lengths), 5):
+        data[indptr[r]:indptr[r + 1]] = 0.0
+    indices = np.concatenate([np.zeros(0, np.int64)] + [
+        np.sort(rng.choice(d, size=n, replace=False)) for n in lengths])
+    return Dataset._from_csr(rng.choice([-1.0, 1.0], len(lengths)), indptr, indices,
+                             data, n_features=d)
+
+
+def _reference_run_sgd(ds, policy, lam, n_epochs, seed, schedule):
+    """run_sgd one arrival at a time, as it was before decisions handed
+    their read to the step and IS drew a refresh period at once: the
+    decision and the step each read the row and its margin, and each IS
+    arrival draws its own uniform.  Returns (w, ledger, curve)."""
+    n, total = len(ds), len(ds) * n_epochs
+    rng = np.random.default_rng(seed)
+    model = PrimalModel.zeros(ds.n_features, lam, n)
+    ledger = CostLedger()
+    curve = []
+
+    def step(i, weight=1.0):
+        _per_row_step(model, ds, [i], ledger.n_updates + 1, weight)
+        ledger.n_updates += 1
+
+    def snapshot(arrival):
+        if arrival in schedule:
+            curve.append((ledger.n_updates, ledger.n_evals, svm_objective(model, ds)))
+
+    if policy.kind == "is":
+        refresh_importance_weights(model, ds, policy, rng, ledger)
+        for arrival in range(1, total + 1):
+            if policy.since_refresh >= policy.effective_refresh_period:
+                refresh_importance_weights(model, ds, policy, rng, ledger)
+            j = int(np.searchsorted(policy._cdf, rng.random(), side="right"))
+            j = min(j, len(policy.chunk) - 1)
+            step(int(policy.chunk[j]), 1.0 / (len(policy.chunk) * float(policy.probs[j])))
+            policy.since_refresh += 1
+            snapshot(arrival)
+        return model.w, ledger, curve
+    arrival = 0
+    for _ in range(n_epochs):
+        for i in rng.permutation(n).tolist():
+            arrival += 1
+            ledger.n_evals += 1
+            keep = True
+            if policy.kind != "plain":
+                y, idx, val = ds.row(i)
+                margin = y * float(model.w[idx] @ val)
+                if policy.criterion == "loss":
+                    value = max(1.0 - margin, 0.0)
+                else:
+                    value = math.sqrt(ds.norms_sq[i]) if margin < 1.0 else 0.0
+                keep = value >= policy.threshold
+                if not keep and policy.kind == "sk_bs":
+                    keep = bool(rng.random() < max(policy.floor_prob, value / policy.threshold))
+            if keep:
+                step(i)
+            snapshot(arrival)
+    return model.w, ledger, curve
+
+
+@settings(deadline=None, max_examples=150)
+@given(lengths=st.lists(st.integers(0, 5), min_size=1, max_size=14),
+       kind=st.sampled_from(["plain", "sk", "sk_bs", "is"]),
+       criterion=st.sampled_from(["loss", "grad_norm"]),
+       threshold=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+       chunk=st.integers(1, 20), period=st.integers(1, 12),
+       n_epochs=st.integers(1, 3), lam=st.sampled_from([0.05, 0.5, 1.0]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+# 10 arrivals with a refresh every 3: refreshes mid-run and before the last
+@example(lengths=[0, 3, 1, 2, 4], kind="is", criterion="loss", threshold=0.0,
+         chunk=4, period=3, n_epochs=2, lam=0.05, scale=1.0, seed=0)
+# a period that divides the run, and one longer than the run
+@example(lengths=[2, 0, 3, 1, 2], kind="is", criterion="loss", threshold=0.0,
+         chunk=5, period=5, n_epochs=2, lam=0.5, scale=1.0, seed=1)
+@example(lengths=[2, 0, 3, 1, 2], kind="is", criterion="loss", threshold=0.0,
+         chunk=3, period=12, n_epochs=2, lam=0.5, scale=1.0, seed=2)
+@example(lengths=[3, 0, 2, 5, 1, 4, 2], kind="sk", criterion="grad_norm", threshold=0.0,
+         chunk=1, period=1, n_epochs=3, lam=0.05, scale=1e-3, seed=3)
+@example(lengths=[3, 0, 2, 5, 1, 4, 2], kind="sk_bs", criterion="loss", threshold=1.0,
+         chunk=1, period=1, n_epochs=3, lam=0.05, scale=1.0, seed=4)
+def test_run_sgd_matches_one_arrival_at_a_time_reference(lengths, kind, criterion,
+                                                         threshold, chunk, period,
+                                                         n_epochs, lam, scale, seed):
+    # ragged rows with empty and all-zero ones, both criteria at thresholds
+    # 0 and above, and IS with refreshes anywhere in the run: the same w
+    # bytes, ledger counts and curve as the one-arrival-at-a-time loop
+    ds = _ragged_dataset(lengths, seed, scale=scale)
+    schedule = sorted({1, len(ds) * n_epochs} | set(range(2, len(ds) * n_epochs, 3)))
+
+    def policy():
+        if kind == "is":
+            return BatchPolicy(kind="is", chunk_size=chunk, refresh_period=period)
+        if kind == "plain":
+            return BatchPolicy(kind="plain")
+        return BatchPolicy(kind=kind, threshold=threshold, criterion=criterion)
+
+    w, ref, ref_curve = _reference_run_sgd(ds, policy(), lam, n_epochs, seed, schedule)
+    model, ledger, curve = run_sgd(ds, policy(), lam, n_epochs, seed, schedule)
+    assert model.w.tobytes() == w.tobytes()
+    assert ((ledger.n_updates, ledger.n_evals, ledger.n_weight_refreshes)
+            == (ref.n_updates, ref.n_evals, ref.n_weight_refreshes))
+    assert [(p.n_updates, p.n_evals, p.objective) for p in curve] == ref_curve
+
+
+@settings(deadline=None)
+@given(lengths=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+@example(lengths=list(range(70)), scale=1.0, seed=0)
+@example(lengths=[128, 255, 256, 257, 0], scale=1e3, seed=1)
+def test_per_row_dots_match_the_matmul_form(lengths, scale, seed):
+    # every per-row kernel's dot equals float(w[idx] @ val) bit for bit
+    ds = _ragged_dataset(lengths, seed, d=400, scale=scale)
+    rng = np.random.default_rng(seed)
+    w = scale * rng.standard_normal(400)
+    model = PrimalModel(w, 0.1, 1.0)
+    assistant = AssistantModel.zeros(400)
+    assistant.phi[:] = w
+    gpol = BatchPolicy(kind="sk", criterion="grad_norm")
+    for i in range(len(ds)):
+        y, idx, val = row = ds.row(i)
+        dot = float(w[idx] @ val)
+        assert hinge_loss(model, ds, i) == max(1.0 - y * dot, 0.0)
+        assert coordinate_gradient(w, row) == y * dot - 1.0
+        active = y * dot < 1.0
+        assert criterion_value(gpol, model, ds, i) == (math.sqrt(ds.norms_sq[i])
+                                                      if active else 0.0)
+        assert assistant.score(ds, i) == min(max(sigmoid(dot), SIGMOID_CLAMP),
+                                              1.0 - SIGMOID_CLAMP)
 
 
 def _reference_chain(problem, idx, W0, shrink, record_ks):
