@@ -134,13 +134,14 @@ def batch_forward(model: PrimalModel, dataset: Dataset, rows: Sequence[int]) -> 
 
 
 class RowRead:
-    """One arrival's row as ``Dataset.row`` returns it, and whether its hinge
-    was active at the w it was read at.  The shrink decision fills it; a
-    kept arrival's step reuses it instead of reading the row again."""
+    """Row i as ``Dataset.row`` returns it, and whether its hinge was active
+    at the w it was read at.  The shrink decision fills it; a kept arrival's
+    step reuses it once instead of reading the row again."""
 
-    __slots__ = ("row", "active")
+    __slots__ = ("i", "row", "active")
 
     def __init__(self) -> None:
+        self.i: int | None = None
         self.row: tuple[float, np.ndarray, np.ndarray] | None = None
         self.active = False
 
@@ -162,8 +163,9 @@ def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: i
     active rows with one ``np.add.at`` in batch order, which leaves the same
     w bytes as adding them one row at a time.  read, when given, is the
     single row of ``rows`` as a shrink decision read it at the pre-step w;
-    the step reuses its row and activity.  Without either, each row is read
-    on its own, which costs less for a single row.
+    the step reuses its row and activity and marks it used, so a read of
+    another row, or one already stepped on, raises ValueError.  Without
+    either, each row is read on its own, which costs less for a single row.
     """
     if k < 1:
         raise ValueError("step index k must be >= 1")
@@ -173,6 +175,9 @@ def pegasos_step(model: PrimalModel, dataset: Dataset, rows: Sequence[int], k: i
     if forward is None:
         # Margins must be read before the shrink factor rescales w.
         if read is not None:
+            if len(rows) != 1 or read.i is None or rows[0] != read.i:
+                raise ValueError(f"read of row {read.i} does not match rows {rows}")
+            read.i = None
             active = (read.row,) if read.active else ()
         else:
             active = []
@@ -219,6 +224,7 @@ def criterion_value(policy: BatchPolicy, model: PrimalModel, dataset: Dataset,
         active = y * float(model.w[idx].dot(val)) < 1.0
         value = math.sqrt(dataset.norms_sq[i]) if active else 0.0
     if read is not None:
+        read.i = i
         read.row = row
         read.active = active
     return value
@@ -294,15 +300,14 @@ def importance_draws(policy: BatchPolicy, rng: np.random.Generator, m: int
 
 
 def is_step(model: PrimalModel, policy: BatchPolicy, dataset: Dataset, k: int,
-            rng: np.random.Generator, ledger: CostLedger | None = None,
-            draw: tuple[int, float] | None = None) -> int:
-    """Draw one chunk member from the importance distribution and update.
+            draw: tuple[int, float], ledger: CostLedger | None = None) -> int:
+    """Update on one chunk member drawn from the importance distribution.
 
-    The loss gradient is scaled by 1/(|chunk| * p_i), which makes the
-    expected weighted gradient equal the chunk's mean loss gradient.
-    Refuses to run on weights staler than the refresh period.  draw, when
-    given, is a (row, weight) pair that ``importance_draws`` took from the
-    current weights; the step uses it instead of drawing.
+    draw is a (row, weight) pair that ``importance_draws`` took from the
+    current weights; the loss gradient is scaled by the weight
+    1/(|chunk| * p_i), which makes the expected weighted gradient equal the
+    chunk's mean loss gradient.  Refuses to run on weights staler than the
+    refresh period.
     """
     if policy.kind != IS:
         raise PolicyError("is_step requires an importance policy")
@@ -310,10 +315,7 @@ def is_step(model: PrimalModel, policy: BatchPolicy, dataset: Dataset, k: int,
         raise PolicyError("importance weights never refreshed")
     if policy.since_refresh >= policy.effective_refresh_period:
         raise PolicyError("importance weights stale beyond the refresh period")
-    if draw is None:
-        (i,), (weight,) = importance_draws(policy, rng, 1)
-    else:
-        i, weight = draw
+    i, weight = draw
     pegasos_step(model, dataset, (i,), k, ledger, loss_weight=weight)
     policy.since_refresh += 1
     return i
@@ -373,7 +375,7 @@ def run_sgd(dataset: Dataset, policy: BatchPolicy, lam: float, n_epochs: int,
             m = min(period - policy.since_refresh, total - arrival)
             for draw in zip(*importance_draws(policy, rng, m)):
                 arrival += 1
-                is_step(model, policy, dataset, ledger.n_updates + 1, rng, ledger, draw)
+                is_step(model, policy, dataset, ledger.n_updates + 1, draw, ledger)
                 if next_snap < len(schedule) and arrival == schedule[next_snap]:
                     ledger.elapsed += time.perf_counter() - work_start
                     snapshot()

@@ -176,6 +176,23 @@ def test_pegasos_step_with_read_matches_its_own_read():
             assert a.w.tobytes() == b.w.tobytes()
 
 
+def test_pegasos_step_refuses_a_mismatched_or_used_read():
+    x = _rows(([0], [1.0]), ([1], [1.0]))
+    m = PrimalModel.zeros(2, 1.0, 2)
+    read = RowRead()
+    with pytest.raises(ValueError, match="does not match"):
+        pegasos_step(m, x, (0,), 1, read=read)      # never filled
+    criterion_value(BatchPolicy(kind="sk"), m, x, 0, read)
+    with pytest.raises(ValueError, match="does not match"):
+        pegasos_step(m, x, (1,), 1, read=read)      # another row
+    with pytest.raises(ValueError, match="does not match"):
+        pegasos_step(m, x, (0, 1), 1, read=read)    # not a single row
+    np.testing.assert_array_equal(m.w, [0.0, 0.0])
+    pegasos_step(m, x, (0,), 1, read=read)
+    with pytest.raises(ValueError, match="does not match"):
+        pegasos_step(m, x, (0,), 2, read=read)      # already stepped on
+
+
 def test_run_sgd_kept_sk_arrival_reads_its_row_once(monkeypatch):
     # the step reuses the row and activity its decision read
     reads = []
@@ -306,6 +323,12 @@ def test_weighted_expectation_equals_chunk_mean():
                                rtol=0, atol=1e-10)
 
 
+def _draw(pol, rng):
+    """One (row, weight) pair from the policy's current weights."""
+    (i,), (weight,) = importance_draws(pol, rng, 1)
+    return i, weight
+
+
 def test_is_step_uniform_weight_matches_plain_step():
     ds = synth_svm(20, 4, margin=0.8, flip_prob=0.0, seed=4)
     lam = 0.5
@@ -317,7 +340,7 @@ def test_is_step_uniform_weight_matches_plain_step():
     rng = np.random.default_rng(9)
     rng_replay = np.random.default_rng(9)
     for k in range(1, 30):
-        i = is_step(m, pol, ds, k, rng)
+        i = is_step(m, pol, ds, k, _draw(pol, rng))
         u = rng_replay.random()
         j = int(np.searchsorted(pol._cdf, u, side="right"))
         assert i == int(pol.chunk[min(j, 19)])
@@ -340,7 +363,7 @@ def test_is_step_degenerate_distribution():
     pol._cdf = np.cumsum(pol.probs)
     m = PrimalModel.zeros(2, 1.0, 2)
     rng = np.random.default_rng(1)
-    drawn = {is_step(m, pol, ds, k, rng) for k in range(1, 51)}
+    drawn = {is_step(m, pol, ds, k, _draw(pol, rng)) for k in range(1, 51)}
     assert drawn == {0}
     # inverse-probability weight is 1/(|C| * 1) = 0.5
     m2 = PrimalModel.zeros(2, 1.0, 2)
@@ -362,7 +385,7 @@ def test_is_step_draw_frequencies_match_probs():
     m_frozen = PrimalModel(w=np.zeros(3), lam=1.0, C=1.0)
     for k in range(1, n + 1):
         # frozen model: the draw only consults the cdf, never w
-        j = is_step(m_frozen, pol, ds, 1, rng)
+        j = is_step(m_frozen, pol, ds, 1, _draw(pol, rng))
         counts[np.flatnonzero(pol.chunk == j)[0]] += 1
     freq = counts / n
     se = np.sqrt(probs * (1 - probs) / n)
@@ -373,16 +396,16 @@ def test_is_step_stale_and_unrefreshed_errors():
     ds = parse_libsvm("+1 1:1.0")
     m = PrimalModel.zeros(1, 1.0, 1)
     pol = BatchPolicy(kind="is", chunk_size=1, refresh_period=2)
-    rng = np.random.default_rng(0)
+    draw = (0, 1.0)
     with pytest.raises(PolicyError, match="never refreshed"):
-        is_step(m, pol, ds, 1, rng)
-    refresh_importance_weights(m, ds, pol, rng)
-    is_step(m, pol, ds, 1, rng)
-    is_step(m, pol, ds, 2, rng)
+        is_step(m, pol, ds, 1, draw)
+    refresh_importance_weights(m, ds, pol, np.random.default_rng(0))
+    is_step(m, pol, ds, 1, draw)
+    is_step(m, pol, ds, 2, draw)
     with pytest.raises(PolicyError, match="stale"):
-        is_step(m, pol, ds, 3, rng)
+        is_step(m, pol, ds, 3, draw)
     with pytest.raises(PolicyError):
-        is_step(m, BatchPolicy(kind="sk"), ds, 1, rng)
+        is_step(m, BatchPolicy(kind="sk"), ds, 1, draw)
 
 
 def test_epoch_eval_schedule():
